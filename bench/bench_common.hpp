@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,10 +26,8 @@
 #include "sparse/testsuite.hpp"
 #include "exec/kernels.hpp"
 #include "util/assert.hpp"
-#include "util/metrics.hpp"
+#include "util/observability.hpp"
 #include "util/options.hpp"
-#include "util/perf_counters.hpp"
-#include "util/report.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -60,50 +57,6 @@ inline BenchEnv load_env() {
   if (env.matrices.empty()) env.matrices = sparse::suite_names();
   return env;
 }
-
-/// The CLIs' standard observability flags, for the bench mains: --trace-out
-/// FILE (Chrome trace JSON), --metrics-out FILE|- (flat metrics JSON),
-/// --report-out FILE|- (structured RunReport; implies tracing so the report
-/// has phases) and --perf (hardware counters where the kernel allows).
-/// Construct before the measured work — the RunReport builder baselines the
-/// metrics registry and the clocks — and call finish() once at the end.
-/// Exports are best-effort: finish() reports failures to stderr and returns
-/// 1, which the bench mains fold into their exit code.
-class Observability {
- public:
-  Observability(const ArgParser& args, const std::string& benchName)
-      : traceOut_(args.flag("trace-out").value_or("")),
-        metricsOut_(args.flag("metrics-out").value_or("")),
-        reportOut_(args.flag("report-out").value_or("")) {
-    if (!traceOut_.empty() || !reportOut_.empty()) trace::enable();
-    if (args.has_switch("perf")) perf::set_enabled(true);
-    rep_ = std::make_unique<fghp::report::Builder>(benchName, "bench");
-  }
-
-  /// The run's RunReport builder, for info() / expect_volume() context.
-  fghp::report::Builder& report() { return *rep_; }
-
-  int finish() const {
-    int rc = 0;
-    const auto attempt = [&rc](const auto& fn) {
-      try {
-        fn();
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        rc = 1;
-      }
-    };
-    if (!traceOut_.empty()) attempt([&] { trace::write_chrome_trace_file(traceOut_); });
-    if (!metricsOut_.empty()) attempt([&] { metrics::write_global_json(metricsOut_); });
-    if (!reportOut_.empty())
-      attempt([&] { fghp::report::write_file(rep_->build(), reportOut_); });
-    return rc;
-  }
-
- private:
-  std::string traceOut_, metricsOut_, reportOut_;
-  std::unique_ptr<fghp::report::Builder> rep_;
-};
 
 /// Median of a sample vector (throughput benches report median-of-N so one
 /// descheduled iteration cannot skew the result): middle element for odd

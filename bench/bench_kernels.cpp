@@ -20,7 +20,6 @@
 #include "partition/hg/partitioner.hpp"
 #include "partition/hg/refine.hpp"
 #include "spmv/compiled.hpp"
-#include "spmv/executor.hpp"
 #include "spmv/plan.hpp"
 #include "spmv/reference.hpp"
 #include "sparse/testsuite.hpp"
@@ -122,19 +121,6 @@ const spmv::SpmvPlan& finegrain_plan() {
   }();
   return plan;
 }
-
-void BM_DistributedSpmvPlanWalk(benchmark::State& state) {
-  const sparse::Csr& a = matrix();
-  const spmv::SpmvPlan& plan = finegrain_plan();
-  Rng rng(5);
-  std::vector<double> x(static_cast<std::size_t>(a.num_cols()));
-  for (auto& v : x) v = rng.uniform01();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(spmv::execute_plan_walk(plan, x));
-  }
-  state.SetItemsProcessed(state.iterations() * a.nnz());
-}
-BENCHMARK(BM_DistributedSpmvPlanWalk)->Unit(benchmark::kMillisecond);
 
 void BM_CompilePlan(benchmark::State& state) {
   const spmv::SpmvPlan& plan = finegrain_plan();

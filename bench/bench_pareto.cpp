@@ -44,7 +44,6 @@ const std::vector<part::PartitionMethod> kMethods = {
     part::PartitionMethod::kMultilevel,
     part::PartitionMethod::kGeometric,
     part::PartitionMethod::kGeometricFm,
-    part::PartitionMethod::kStreaming,
 };
 
 struct ParetoPoint {
@@ -65,7 +64,7 @@ bool sane(const ParetoPoint& p) {
 int main(int argc, char** argv) {
   using namespace fghp;
   const ArgParser args(argc, argv);
-  bench::Observability obs(args, "bench_pareto");
+  Observability obs(args, "bench_pareto", "bench");
   bench::BenchEnv env = bench::load_env();
   if (!env_str("FGHP_K")) env.kValues = {4, 16, 64};
   const double spgemmScale = [&] {
@@ -79,7 +78,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "Partitioner Pareto front: wall-time vs lambda-1 cutsize, fine-grain model\n"
-      "(scale=%.2f; methods: multilevel, geometric, geometric-fm, streaming)\n\n",
+      "(scale=%.2f; methods: multilevel, geometric, geometric-fm)\n\n",
       env.scale);
 
   Table table({"matrix", "nnz", "K", "method", "cutsize", "time[s]", "imb%", "rec", "deg"});
@@ -218,6 +217,5 @@ int main(int argc, char** argv) {
     if (!json.write(*out)) return 1;
     std::printf("\nJSON written to %s\n", out->c_str());
   }
-  if (obs.finish() != 0) ok = false;
-  return ok ? 0 : 1;
+  return obs.finish(ok ? 0 : 1);
 }

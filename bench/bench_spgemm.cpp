@@ -55,7 +55,7 @@ double time_iteration_ms(int reps, Fn&& iterate) {
 int main(int argc, char** argv) {
   using namespace fghp;
   const ArgParser args(argc, argv);
-  bench::Observability obs(args, "bench_spgemm");
+  Observability obs(args, "bench_spgemm", "bench");
   bench::BenchEnv env = bench::load_env();
   // A*A squares the nonzero count, so the default set stays on the suite's
   // small end; FGHP_MATRICES overrides.
@@ -133,6 +133,5 @@ int main(int argc, char** argv) {
     if (!json.write(*out)) return 1;
     std::printf("\nJSON written to %s\n", out->c_str());
   }
-  if (obs.finish() != 0) ok = false;
-  return ok ? 0 : 1;
+  return obs.finish(ok ? 0 : 1);
 }

@@ -7,14 +7,12 @@
 //
 // Section (b): the iterative-solver view. For each matrix and K, a finegrain
 // decomposition is lowered once (spmv::compile_plan) and the repeated
-// y = A x iteration is timed three ways: the legacy plan-walking executor
-// (global coordinates, hash lookup per nonzero), the compiled serial
-// session and the compiled threaded session. Medians over FGHP_REPS
-// iterations after warmup. GFLOP/s counts 2 nnz flops per iteration;
-// effective GB/s models the iteration's memory traffic as 12 B per nonzero
-// (value + local column index) + 8 B per scratch/vector element touched
-// (x gather, partials, y) + 16 B per communicated word (flat-buffer write
-// and read).
+// y = A x iteration is timed two ways: the compiled serial session and the
+// compiled threaded session. Medians over FGHP_REPS iterations after
+// warmup. GFLOP/s counts 2 nnz flops per iteration; effective GB/s models
+// the iteration's memory traffic as 12 B per nonzero (value + local column
+// index) + 8 B per scratch/vector element touched (x gather, partials, y)
+// + 16 B per communicated word (flat-buffer write and read).
 //
 // Section (c): the roofline view. A measured STREAM-triad baseline gives
 // the machine's practical bandwidth ceiling; large generated matrices
@@ -39,7 +37,6 @@
 #include "sparse/reorder.hpp"
 #include "spmv/compiled.hpp"
 #include "spmv/costmodel.hpp"
-#include "spmv/executor.hpp"
 #include "spmv/plan.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -124,7 +121,7 @@ sparse::Csr roofline_matrix(const std::string& name, double scale) {
 int main(int argc, char** argv) {
   using namespace fghp;
   const ArgParser args(argc, argv);
-  bench::Observability obs(args, "bench_spmv");
+  Observability obs(args, "bench_spmv", "bench");
   bench::BenchEnv env = bench::load_env();
   if (!env_str("FGHP_MATRICES")) env.matrices = {"sherman3", "ken-11", "cq9"};
   const auto reps = static_cast<int>(env_long("FGHP_REPS", 20));
@@ -178,12 +175,11 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nPer-iteration y = A x throughput, finegrain decomposition (median of %d)\n"
-      "'plan walk' is the legacy global-coordinate executor; 'compiled' is the\n"
-      "local-indexed ExecSession (serial / threaded).\n\n",
+      "'compiled' is the local-indexed ExecSession (serial / threaded).\n\n",
       reps);
 
-  Table tp({"matrix", "K", "nnz", "words", "plan walk[ms]", "compiled[ms]", "mt[ms]",
-            "speedup", "GFLOP/s", "GB/s"});
+  Table tp({"matrix", "K", "nnz", "words", "compiled[ms]", "mt[ms]", "GFLOP/s",
+            "GB/s"});
   for (const auto& name : env.matrices) {
     const sparse::Csr a = sparse::make_matrix(name, 1, env.scale);
     const std::vector<double> x = random_x(a.num_cols(), 11);
@@ -192,10 +188,6 @@ int main(int argc, char** argv) {
       const model::ModelRun mrun = model::run_finegrain(a, K, cfg);
       const spmv::SpmvPlan plan = spmv::build_plan(a, mrun.decomp);
       const weight_t words = plan.total_words();
-
-      std::vector<double> sink;
-      const double planMs = time_iteration_ms(
-          reps, [&] { sink = spmv::execute_plan_walk(plan, x); });
 
       spmv::ExecSession session(plan);
       std::vector<double> y;
@@ -210,22 +202,18 @@ int main(int argc, char** argv) {
           16.0 * static_cast<double>(words);
       const double gflops = flops / (compiledMs * 1e6);
       const double gbps = bytes / (compiledMs * 1e6);
-      const double speedup = compiledMs > 0.0 ? planMs / compiledMs : 0.0;
 
       tp.add_row({name, Table::num(static_cast<long long>(K)),
                   Table::num(static_cast<long long>(a.nnz())),
-                  Table::num(static_cast<long long>(words)), Table::num(planMs, 3),
-                  Table::num(compiledMs, 3), Table::num(mtMs, 3),
-                  Table::num(speedup, 1), Table::num(gflops, 2), Table::num(gbps, 2)});
+                  Table::num(static_cast<long long>(words)), Table::num(compiledMs, 3),
+                  Table::num(mtMs, 3), Table::num(gflops, 2), Table::num(gbps, 2)});
       json.add("runs")
           .field("matrix", name)
           .field("k", K)
           .field("nnz", static_cast<long long>(a.nnz()))
           .field("words", static_cast<long long>(words))
-          .field("plan_walk_ms", planMs)
           .field("compiled_ms", compiledMs)
           .field("compiled_mt_ms", mtMs)
-          .field("speedup", speedup)
           .field("compiled_gflops", gflops)
           .field("compiled_gbps", gbps);
     }
@@ -348,6 +336,5 @@ int main(int argc, char** argv) {
 
   int rc = 0;
   if (const auto path = args.flag("json"); path && !json.write(*path)) rc = 1;
-  if (obs.finish() != 0) rc = 1;
-  return rc;
+  return obs.finish(rc);
 }

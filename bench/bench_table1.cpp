@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   using namespace fghp;
   const bench::BenchEnv env = bench::load_env();
   const ArgParser args(argc, argv);
-  bench::Observability obs(args, "bench_table1");
+  Observability obs(args, "bench_table1", "bench");
   bench::JsonWriter json;
   json.scalar("table", std::string("table1"));
   json.scalar("scale", env.scale);
@@ -53,5 +53,5 @@ int main(int argc, char** argv) {
       "\nNotes: analogs are generated (see sparse/testsuite.cpp); 'paper' columns are\n"
       "Table 1 of Catalyurek & Aykanat, IPPS 2001. Row counts match exactly at scale 1;\n"
       "nonzero totals within a few percent; min/max/avg match the generator targets.\n");
-  return obs.finish() != 0 ? 1 : 0;
+  return obs.finish(0);
 }

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   const bench::BenchEnv env = bench::load_env();
   constexpr Model kModels[] = {Model::kGraph1d, Model::kHypergraph1d, Model::kFineGrain2d};
   const ArgParser args(argc, argv);
-  bench::Observability obs(args, "bench_table2");
+  Observability obs(args, "bench_table2", "bench");
   bench::JsonWriter json;
   json.scalar("table", std::string("table2"));
   json.scalar("scale", env.scale);
@@ -185,5 +185,5 @@ int main(int argc, char** argv) {
     json.scalar("pct_volume_saved_hyper1d_vs_graph", 100.0 * (1.0 - h / g));
   }
   if (const auto path = args.flag("json"); path && !json.write(*path)) return 1;
-  return obs.finish() != 0 ? 1 : 0;
+  return obs.finish(0);
 }

@@ -26,11 +26,10 @@
 #include "sparse/generators.hpp"
 #include "util/cancel.hpp"
 #include "util/error.hpp"
-#include "util/metrics.hpp"
+#include "util/observability.hpp"
 #include "util/options.hpp"
 #include "util/perf_counters.hpp"
 #include "util/report.hpp"
-#include "util/trace.hpp"
 
 namespace {
 
@@ -134,60 +133,18 @@ void print_warnings() {
     std::fprintf(stderr, "warning: %s\n", w.c_str());
 }
 
-/// Best-effort exports; returns the io exit code on failure so a successful
-/// run can still report it (a failing run's typed code wins instead).
-int write_observability(const std::string& traceOut, const std::string& metricsOut,
-                        const std::string& reportOut, const report::Builder& rep) {
-  int rc = 0;
-  if (!traceOut.empty()) {
-    try {
-      trace::write_chrome_trace_file(traceOut);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      rc = static_cast<int>(ErrorCode::kIo);
-    }
-  }
-  if (!metricsOut.empty()) {
-    try {
-      metrics::write_global_json(metricsOut);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      rc = static_cast<int>(ErrorCode::kIo);
-    }
-  }
-  if (!reportOut.empty()) {
-    try {
-      report::write_file(rep.build(), reportOut);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      rc = static_cast<int>(ErrorCode::kIo);
-    }
-  }
-  return rc;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const ArgParser args(argc, argv);
-  const std::string traceOut = args.flag("trace-out").value_or("");
-  const std::string metricsOut = args.flag("metrics-out").value_or("");
-  const std::string reportOut = args.flag("report-out").value_or("");
-  if (!traceOut.empty() || !reportOut.empty()) trace::enable();
-  if (args.has_switch("perf")) fghp::perf::set_enabled(true);
-  fghp::report::Builder rep("cg_solver", "solve");
-
+  Observability obs(args, "cg_solver", "solve");
   int rc;
   try {
-    rc = run(args, rep);
+    rc = run(args, obs.report());
   } catch (const std::exception& e) {
     print_warnings();
-    std::fprintf(stderr, "error: %s\n", e.what());
-    rep.set_error(e.what());
-    write_observability(traceOut, metricsOut, reportOut, rep);  // typed error wins
-    return fghp::exit_code(e);
+    return obs.fail(e);  // typed error wins
   }
   print_warnings();
-  const int obsRc = write_observability(traceOut, metricsOut, reportOut, rep);
-  return rc == 0 && obsRc != 0 ? obsRc : rc;
+  return obs.finish(rc);
 }

@@ -6,10 +6,15 @@
 //       Table 1-style statistics plus bandwidth before/after RCM
 //   fghp_tool partition <m.mtx> --model <finegrain|hyper1d|rownet|graph|
 //       checkerboard|jagged|orthogonal> --k 16 [--eps 0.03] [--seed 1]
-//       [--method multilevel|geometric|geometric-fm|streaming] [--threads 0]
-//       [--balance-vectors] [--json] [--out d.decomp]
-//       decompose and report the Table 2 metrics (one JSON object with
-//       --json); the fast-path methods require --model finegrain
+//       [--method multilevel|geometric|geometric-fm] [--threads 0]
+//       [--balance-vectors] [--strict] [--timeout-ms MS] [--no-degrade]
+//       [--json] [--out d.decomp]
+//       decompose a Matrix Market file (a generated analog or a real UF /
+//       netlib matrix) and report the Table 2 metrics: total and max
+//       per-processor volume, average and max messages per processor, load
+//       imbalance (one JSON object with --json). --method picks the
+//       fine-grain engine (DESIGN.md §15); the fast paths require
+//       --model finegrain
 //   fghp_tool simulate <m.mtx> <d.decomp> [--reps 10] [--threads 0]
 //       load a saved decomposition, verify it, execute repeated distributed
 //       SpMVs (threaded) and report traffic + timing
@@ -33,13 +38,13 @@
 // zeroed counters with one warning where the kernel refuses).
 //
 // Exit codes follow fghp::ErrorCode: 0 success, 1 unknown error, 2 usage,
-// 3 io, 4 format, 5 invariant, 6 infeasible, 7 injected fault. Errors and
-// recovery warnings go to stderr; results go to stdout. Observability files
-// are written even when the command fails, and the command's typed-error
-// exit code always wins: a trace of a failing run is exactly what you want
-// to look at, and an export failure on top of it only adds a stderr line.
-// Only on an otherwise successful run does a failed export turn into exit
-// code 3 (io).
+// 3 io, 4 format, 5 invariant, 6 infeasible, 7 injected fault, 8 cancelled,
+// 9 deadline exceeded. Errors and recovery warnings go to stderr; results go
+// to stdout. Observability files are written even when the command fails,
+// and the command's typed-error exit code always wins: a trace of a failing
+// run is exactly what you want to look at, and an export failure on top of
+// it only adds a stderr line. Only on an otherwise successful run does a
+// failed export turn into exit code 3 (io).
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -74,13 +79,12 @@
 #include "util/cancel.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
-#include "util/metrics.hpp"
+#include "util/observability.hpp"
 #include "util/options.hpp"
 #include "util/perf_counters.hpp"
 #include "util/report.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
-#include "util/trace.hpp"
 
 namespace {
 
@@ -92,7 +96,7 @@ int usage() {
                "  gen <suite-name> --out m.mtx [--scale S] [--seed N]\n"
                "  stats <m.mtx>\n"
                "  partition <m.mtx> --model M --k K [--eps E] [--seed N]\n"
-               "            [--method multilevel|geometric|geometric-fm|streaming]\n"
+               "            [--method multilevel|geometric|geometric-fm]\n"
                "            [--threads T] [--balance-vectors] [--strict] [--json]\n"
                "            [--fault-spec SPEC] [--timeout-ms MS] [--no-degrade]\n"
                "            [--out d.decomp]\n"
@@ -262,7 +266,8 @@ int cmd_partition(const ArgParser& args, report::Builder& rep) {
                 "\"objective\":%lld,\"recoveries\":%d,\"degraded\":%d,"
                 "\"total_volume_words\":%lld,\"max_proc_words\":%lld,"
                 "\"expand_words\":%lld,\"fold_words\":%lld,"
-                "\"avg_messages_per_proc\":%.3f,\"load_imbalance_percent\":%.3f}\n",
+                "\"avg_messages_per_proc\":%.3f,\"max_messages_per_proc\":%d,"
+                "\"load_imbalance_percent\":%.3f}\n",
                 modelName.c_str(), methodName.c_str(), static_cast<int>(k),
                 run.partitionSeconds, totalTimer.seconds(),
                 static_cast<long long>(run.objective),
@@ -271,7 +276,7 @@ int cmd_partition(const ArgParser& args, report::Builder& rep) {
                 static_cast<long long>(s.maxProcWords),
                 static_cast<long long>(s.expandWords),
                 static_cast<long long>(s.foldWords), s.avgMessagesPerProc,
-                loads.percentImbalance);
+                static_cast<int>(s.maxMessagesPerProc), loads.percentImbalance);
   } else {
     std::printf("model=%s method=%s K=%d time=%.3fs total=%.3fs recoveries=%d degraded=%d\n",
                 modelName.c_str(), methodName.c_str(), static_cast<int>(k),
@@ -280,9 +285,11 @@ int cmd_partition(const ArgParser& args, report::Builder& rep) {
     std::printf("  total volume %lld words (%.3f scaled); max/proc %lld (%.3f)\n",
                 static_cast<long long>(s.totalWords), s.scaledTotal(a.num_rows()),
                 static_cast<long long>(s.maxProcWords), s.scaledMax(a.num_rows()));
-    std::printf("  expand/fold %lld / %lld; avg msgs/proc %.2f; load imbalance %.2f%%\n",
+    std::printf("  expand/fold %lld / %lld; avg msgs/proc %.2f (max %d); "
+                "load imbalance %.2f%%\n",
                 static_cast<long long>(s.expandWords), static_cast<long long>(s.foldWords),
-                s.avgMessagesPerProc, loads.percentImbalance);
+                s.avgMessagesPerProc, static_cast<int>(s.maxMessagesPerProc),
+                loads.percentImbalance);
   }
 
   if (const auto out = args.flag("out")) {
@@ -441,72 +448,29 @@ void print_warnings() {
     std::fprintf(stderr, "warning: %s\n", w.c_str());
 }
 
-/// Writes the requested trace / metrics / report outputs. Returns 0, or the
-/// io exit code if an export failed (reported to stderr either way); callers
-/// on a failing command path ignore it so the typed error code wins.
-int write_observability(const std::string& traceOut, const std::string& metricsOut,
-                        const std::string& reportOut, const report::Builder& rep) {
-  int rc = 0;
-  if (!traceOut.empty()) {
-    try {
-      trace::write_chrome_trace_file(traceOut);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      rc = static_cast<int>(ErrorCode::kIo);
-    }
-  }
-  if (!metricsOut.empty()) {
-    try {
-      metrics::write_global_json(metricsOut);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      rc = static_cast<int>(ErrorCode::kIo);
-    }
-  }
-  if (!reportOut.empty()) {
-    try {
-      report::write_file(rep.build(), reportOut);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      rc = static_cast<int>(ErrorCode::kIo);
-    }
-  }
-  return rc;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const ArgParser args(argc, argv);
   if (args.positional().empty()) return usage();
-  const std::string traceOut = args.flag("trace-out").value_or("");
-  const std::string metricsOut = args.flag("metrics-out").value_or("");
-  const std::string reportOut = args.flag("report-out").value_or("");
-  // A report without phases is useless, so --report-out implies tracing.
-  if (!traceOut.empty() || !reportOut.empty()) trace::enable();
-  if (args.has_switch("perf")) perf::set_enabled(true);
   const std::string& cmd = args.positional().front();
-  // Constructed before any work: the builder baselines the metrics registry
-  // and the clocks, so the report covers exactly this command.
-  report::Builder rep("fghp_tool", cmd);
+  // Constructed before any work: the report builder baselines the metrics
+  // registry and the clocks, so the report covers exactly this command.
+  Observability obs(args, "fghp_tool", cmd);
   int rc = -1;
   try {
     if (cmd == "gen") rc = cmd_gen(args);
     if (cmd == "stats") rc = cmd_stats(args);
-    if (cmd == "partition") rc = cmd_partition(args, rep);
-    if (cmd == "simulate") rc = cmd_simulate(args, rep);
-    if (cmd == "spgemm") rc = cmd_spgemm(args, rep);
+    if (cmd == "partition") rc = cmd_partition(args, obs.report());
+    if (cmd == "simulate") rc = cmd_simulate(args, obs.report());
+    if (cmd == "spgemm") rc = cmd_spgemm(args, obs.report());
     if (cmd == "report") rc = cmd_report(args);
     if (cmd == "faults") rc = cmd_faults();
   } catch (const std::exception& e) {
     print_warnings();
-    std::fprintf(stderr, "error: %s\n", e.what());
-    rep.set_error(e.what());
-    write_observability(traceOut, metricsOut, reportOut, rep);  // typed error wins
-    return fghp::exit_code(e);
+    return obs.fail(e);
   }
   print_warnings();
-  const int obsRc = write_observability(traceOut, metricsOut, reportOut, rep);
-  if (rc == -1) return usage();
-  return rc == 0 && obsRc != 0 ? obsRc : rc;
+  if (rc == -1) rc = usage();
+  return obs.finish(rc);
 }

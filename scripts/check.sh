@@ -67,17 +67,12 @@ for site in $("$tool" faults); do
   FGHP_FAULT_SPEC="$site:1" "$tool" partition "$ftmp/m.mtx" --model graph --k 4 \
       --strict --out "$ftmp/d3.decomp" > /dev/null 2> "$ftmp/err.txt" || rc=$?
   check_rc "$site" partition-graph "$rc"
-  # The fast-path partitioners have their own ladder rungs (geo.*,
-  # stream.*); sweeping every site through both keeps all three recovery
-  # ladders covered.
+  # The geometric fast path has its own ladder rungs (geo.*); sweeping
+  # every site through it keeps all three recovery ladders covered.
   rc=0
   FGHP_FAULT_SPEC="$site:1" "$tool" partition "$ftmp/m.mtx" --model finegrain --k 4 \
       --method geometric --strict --out "$ftmp/d4.decomp" > /dev/null 2> "$ftmp/err.txt" || rc=$?
   check_rc "$site" partition-geometric "$rc"
-  rc=0
-  FGHP_FAULT_SPEC="$site:1" "$tool" partition "$ftmp/m.mtx" --model finegrain --k 4 \
-      --method streaming --strict --out "$ftmp/d5.decomp" > /dev/null 2> "$ftmp/err.txt" || rc=$?
-  check_rc "$site" partition-streaming "$rc"
   rc=0
   FGHP_FAULT_SPEC="$site:1" "$tool" simulate "$ftmp/m.mtx" "$ftmp/d.decomp" --reps 1 \
       > /dev/null 2> "$ftmp/err.txt" || rc=$?
@@ -149,8 +144,6 @@ tmp=$(mktemp -d)
 ./build/examples/fghp_tool simulate "$tmp/m.mtx" "$tmp/d.decomp" --reps 3
 ./build/examples/fghp_tool partition "$tmp/m.mtx" --model finegrain --k 8 \
     --method geometric --strict --json > /dev/null
-./build/examples/fghp_tool partition "$tmp/m.mtx" --model finegrain --k 8 \
-    --method streaming --strict --json > /dev/null
 ./build/examples/fghp_tool spgemm "$tmp/m.mtx" --k 8 --reps 3
 # B != A through the --b-matrix flag: same suite matrix and scale (so the
 # inner dimensions agree) but a different generator seed.
@@ -321,7 +314,7 @@ awk -v g="${sgflops:-0}" 'BEGIN { exit (g > 0) ? 0 : 1 }' || {
 echo "  spgemm session: $sgflops GFLOP/s (artifact: build/bench_spgemm_smoke.json)"
 
 echo "--- perf smoke: partitioner Pareto front ---"
-# All four fine-grain methods across two structurally different matrices.
+# All three fine-grain methods across two structurally different matrices.
 # The bench itself exits nonzero on any zero/NaN datapoint; the gate below
 # additionally requires the fast path to actually be fast — geometric must
 # beat multilevel wall-time on the largest smoke matrix at K=16 (the

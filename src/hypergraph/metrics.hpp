@@ -39,8 +39,8 @@ bool is_balanced(const Hypergraph& h, const Partition& p, double eps);
 /// Integrality-aware per-part weight cap: floor(W_avg * (1 + eps)), but never
 /// below ceil(total / K) — with unit-granularity weights no partition can put
 /// less than ceil(total / K) on its heaviest part, so eq. (1) is infeasible
-/// below that line and every engine (multilevel repair, geometric targets,
-/// the streaming cap) treats this value as the feasibility bound.
+/// below that line and every engine (multilevel repair, geometric targets)
+/// treats this value as the feasibility bound.
 weight_t balance_cap(weight_t totalWeight, idx_t K, double eps);
 
 /// True when every part weight is within balance_cap — eq. (1) relaxed by

@@ -3,7 +3,6 @@
 #include "hypergraph/metrics.hpp"
 #include "hypergraph/validate.hpp"
 #include "partition/geo/geometric.hpp"
-#include "partition/geo/streaming.hpp"
 #include "partition/hg/kway_refine.hpp"
 #include "partition/hg/partitioner.hpp"
 #include "util/assert.hpp"
@@ -227,16 +226,6 @@ ModelRun run_finegrain(const sparse::Csr& a, idx_t K, const part::PartitionConfi
   switch (cfg.method) {
     case PartitionMethod::kGeometric: {
       part::geo::GeoResult r = part::geo::partition_points_geometric(m.pts, K, cfg);
-      run.partitionSeconds = r.seconds;
-      run.objective = r.cutsize;
-      run.imbalance = r.imbalance;
-      run.numRecoveries = r.numRecoveries;
-      run.numDegraded = r.numDegraded;
-      run.decomp = decode_finegrain(a, m, r.partition);
-      break;
-    }
-    case PartitionMethod::kStreaming: {
-      part::geo::StreamResult r = part::geo::partition_points_streaming(m.pts, K, cfg);
       run.partitionSeconds = r.seconds;
       run.objective = r.cutsize;
       run.imbalance = r.imbalance;

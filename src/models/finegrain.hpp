@@ -47,7 +47,7 @@ Decomposition decode_finegrain(const sparse::Csr& a, const FineGrainModel& m,
                                const hg::Partition& p);
 
 /// The fine-grain model as a weighted 2D point set — the substrate of the
-/// fast-path partitioners (--method geometric / streaming). Point v sits at
+/// fast-path partitioners (--method geometric / geometric-fm). Point v sits at
 /// (row, col) of nonzero a_ij with unit weight; zero-weight dummy points at
 /// (j, j) cover missing diagonals. Vertex ids (CSR entry order, dummies
 /// appended in diagonal order) are IDENTICAL to build_finegrain's, so a
@@ -68,8 +68,8 @@ Decomposition decode_finegrain(const sparse::Csr& a, const FineGrainPoints& m,
                                const part::geo::GeoPartition& p);
 
 /// Fine-grain 2D model end to end. Dispatches on cfg.method: the multilevel
-/// hypergraph stack (paper quality), recursive geometric splits, geometric
-/// plus one K-way FM sweep, or one-pass streaming (see DESIGN.md §15).
+/// hypergraph stack (paper quality), recursive geometric splits, or geometric
+/// plus one K-way FM sweep (see DESIGN.md §15).
 /// The fast paths always optimize — and report — the lambda-1 connectivity
 /// objective (which for this model is the exact communication volume).
 ModelRun run_finegrain(const sparse::Csr& a, idx_t K, const part::PartitionConfig& cfg);

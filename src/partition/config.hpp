@@ -39,7 +39,6 @@ enum class PartitionMethod {
   kMultilevel,   ///< the paper's PaToH-style multilevel stack (default)
   kGeometric,    ///< recursive weighted-median splits on (row, col) points
   kGeometricFm,  ///< geometric initial partition + one K-way FM refine sweep
-  kStreaming,    ///< one-pass greedy assignment with bounded part summaries
 };
 
 inline const char* method_name(PartitionMethod m) {
@@ -47,7 +46,6 @@ inline const char* method_name(PartitionMethod m) {
     case PartitionMethod::kMultilevel: return "multilevel";
     case PartitionMethod::kGeometric: return "geometric";
     case PartitionMethod::kGeometricFm: return "geometric-fm";
-    case PartitionMethod::kStreaming: return "streaming";
   }
   return "?";
 }
@@ -57,7 +55,6 @@ inline bool parse_method(const std::string& name, PartitionMethod& out) {
   if (name == "multilevel") out = PartitionMethod::kMultilevel;
   else if (name == "geometric") out = PartitionMethod::kGeometric;
   else if (name == "geometric-fm") out = PartitionMethod::kGeometricFm;
-  else if (name == "streaming") out = PartitionMethod::kStreaming;
   else return false;
   return true;
 }
@@ -73,7 +70,7 @@ struct PartitionConfig {
   hg::CutMetric metric = hg::CutMetric::kConnectivity;
 
   /// Which fine-grain engine runs: the multilevel stack (paper quality), the
-  /// geometric fast path, geometric + one FM sweep, or one-pass streaming.
+  /// geometric fast path, or geometric + one FM sweep.
   /// Quality-vs-time tradeoffs are measured by bench/bench_pareto.
   PartitionMethod method = PartitionMethod::kMultilevel;
 

@@ -1,5 +1,5 @@
 // Nonzeros as weighted 2D points — the substrate of the fast-path fine-grain
-// partitioners (geometric recursive splits, one-pass streaming).
+// partitioners (geometric recursive splits, optionally FM-polished).
 //
 // A point v sits at (row[v], col[v]) and carries a nonnegative weight; the
 // implicit *nets* are the coordinate lines: every distinct row id is a row

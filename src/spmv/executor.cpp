@@ -1,9 +1,6 @@
 #include "spmv/executor.hpp"
 
-#include <unordered_map>
-
 #include "spmv/compiled.hpp"
-#include "util/assert.hpp"
 
 namespace fghp::spmv {
 
@@ -20,80 +17,6 @@ std::vector<double> execute_mt(const SpmvPlan& plan, std::span<const double> x,
   ExecSession session(plan);
   std::vector<double> y;
   session.run_mt(x, y, numThreads, stats);
-  return y;
-}
-
-// The pre-compilation executor, kept verbatim as bench_spmv's baseline: it
-// walks the plan in global coordinates and pays a hash lookup per nonzero.
-std::vector<double> execute_plan_walk(const SpmvPlan& plan,
-                                      std::span<const double> x,
-                                      ExecStats* stats) {
-  FGHP_REQUIRE(x.size() == static_cast<std::size_t>(plan.numCols), "x size mismatch");
-  const idx_t K = plan.numProcs;
-
-  ExecStats local;
-
-  // Per-processor x cache: owned entries plus whatever the expand delivers.
-  std::vector<std::unordered_map<idx_t, double>> xCache(static_cast<std::size_t>(K));
-  for (idx_t p = 0; p < K; ++p) {
-    for (idx_t j : plan.procs[static_cast<std::size_t>(p)].ownedX)
-      xCache[static_cast<std::size_t>(p)][j] = x[static_cast<std::size_t>(j)];
-  }
-
-  // --- Expand phase -------------------------------------------------------
-  for (idx_t p = 0; p < K; ++p) {
-    for (const Msg& m : plan.procs[static_cast<std::size_t>(p)].xSends) {
-      auto& dstCache = xCache[static_cast<std::size_t>(m.peer)];
-      for (idx_t j : m.ids) {
-        const auto it = xCache[static_cast<std::size_t>(p)].find(j);
-        FGHP_ASSERT(it != xCache[static_cast<std::size_t>(p)].end());
-        dstCache[j] = it->second;
-      }
-      local.wordsSent += static_cast<weight_t>(m.ids.size());
-      ++local.messagesSent;
-    }
-  }
-
-  // --- Local multiply -------------------------------------------------------
-  std::vector<std::unordered_map<idx_t, double>> partial(static_cast<std::size_t>(K));
-  for (idx_t p = 0; p < K; ++p) {
-    const auto& pp = plan.procs[static_cast<std::size_t>(p)];
-    auto& cache = xCache[static_cast<std::size_t>(p)];
-    auto& part = partial[static_cast<std::size_t>(p)];
-    for (std::size_t e = 0; e < pp.rows.size(); ++e) {
-      const auto it = cache.find(pp.cols[e]);
-      FGHP_ASSERT(it != cache.end() && "expand failed to deliver a needed x value");
-      part[pp.rows[e]] += pp.vals[e] * it->second;
-    }
-  }
-
-  // --- Fold phase -----------------------------------------------------------
-  std::vector<double> y(static_cast<std::size_t>(plan.numRows), 0.0);
-  for (idx_t p = 0; p < K; ++p) {
-    const auto& pp = plan.procs[static_cast<std::size_t>(p)];
-    // Own contributions first, then remote partials in plan order
-    // (deterministic summation).
-    for (idx_t i : pp.ownedY) {
-      const auto it = partial[static_cast<std::size_t>(p)].find(i);
-      if (it != partial[static_cast<std::size_t>(p)].end())
-        y[static_cast<std::size_t>(i)] += it->second;
-    }
-  }
-  for (idx_t p = 0; p < K; ++p) {
-    const auto& pp = plan.procs[static_cast<std::size_t>(p)];
-    for (const Msg& m : pp.ySends) {
-      for (idx_t i : m.ids) {
-        const auto it = partial[static_cast<std::size_t>(p)].find(i);
-        FGHP_ASSERT(it != partial[static_cast<std::size_t>(p)].end() &&
-                    "fold schedule references a row this processor never computed");
-        y[static_cast<std::size_t>(i)] += it->second;
-      }
-      local.wordsSent += static_cast<weight_t>(m.ids.size());
-      ++local.messagesSent;
-    }
-  }
-
-  if (stats != nullptr) *stats = local;
   return y;
 }
 

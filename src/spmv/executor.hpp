@@ -1,8 +1,7 @@
 // One-shot SpMV entry points: serial simulation of the distributed SpMV
-// (execute), the multi-threaded BSP run (execute_mt), and the legacy
-// plan-walking baseline (execute_plan_walk).
+// (execute) and the multi-threaded BSP run (execute_mt).
 //
-// Both production entry points are thin wrappers that compile the plan and
+// Both are thin wrappers that compile the plan and
 // run it once through an ExecSession (spmv/compiled.hpp, itself the
 // SpMV-typed view of the workload-agnostic exec::Session). Iterative callers
 // should hold the session themselves so the compiled image and scratch are
@@ -37,13 +36,5 @@ std::vector<double> execute(const SpmvPlan& plan, std::span<const double> x,
 /// execute() (identical per-partial summation order).
 std::vector<double> execute_mt(const SpmvPlan& plan, std::span<const double> x,
                                idx_t numThreads = 0, ExecStats* stats = nullptr);
-
-/// The legacy plan-walking implementation: global coordinates, an
-/// unordered_map lookup per nonzero, fresh caches every call. Bit-identical
-/// to execute(); retained only as the baseline bench_spmv measures the
-/// compiled session against. Not used on any product path.
-std::vector<double> execute_plan_walk(const SpmvPlan& plan,
-                                      std::span<const double> x,
-                                      ExecStats* stats = nullptr);
 
 }  // namespace fghp::spmv

@@ -107,8 +107,6 @@ const std::vector<std::string>& known_sites() {
       "perf.open",    // perf-counter group open (ordinal = 1-based open attempt)
       "rb.bisect",    // hypergraph recursive-bisection node (ordinal = part offset + 1)
       "rb.retry",     // hypergraph bisection retry attempt  (ordinal = part offset + 1)
-      "stream.assign",  // streaming-partitioner chunk head (ordinal = chunk index + 1)
-      "stream.retry",   // streaming chunk retry attempt    (ordinal = chunk index + 1)
       "watchdog.stall",  // simulated worker stall seen by the pool watchdog (ordinal = scan)
   };
   return sites;

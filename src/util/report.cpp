@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -560,11 +561,11 @@ class Parser {
             s_[pos_] == '+' || s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E'))
       ++pos_;
     if (pos_ == start) fail("unexpected character");
-    try {
-      v.number = std::stod(s_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
-      fail("malformed number");
-    }
+    // The whole token must be one number: "1-2" or "1.2.3" is malformed,
+    // not a prefix followed by junk.
+    const char* last = s_.data() + pos_;
+    const auto [end, ec] = std::from_chars(s_.data() + start, last, v.number);
+    if (ec != std::errc() || end != last) fail("malformed number");
     v.type = Value::Type::kNumber;
     return v;
   }
@@ -593,8 +594,11 @@ class Parser {
         case 'f': out += '\f'; break;
         case 'u': {
           if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
-          const unsigned code =
-              static_cast<unsigned>(std::stoul(s_.substr(pos_, 4), nullptr, 16));
+          // Exactly four hex digits: no sign, space or short digit run.
+          unsigned code = 0;
+          const char* first = s_.data() + pos_;
+          const auto [end, ec] = std::from_chars(first, first + 4, code, 16);
+          if (ec != std::errc() || end != first + 4) fail("\\u escape needs four hex digits");
           pos_ += 4;
           // Our own writers only escape control characters; anything in the
           // BMP below 0x80 round-trips, the rest degrades to '?'.

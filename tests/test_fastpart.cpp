@@ -1,10 +1,9 @@
-// The fast-path fine-grain partitioners (DESIGN.md §15): geometric
-// recursive splits and one-pass streaming. Covers the determinism contract
-// (bit-identical at any thread count), the telescoped-cut equivalence
-// against the real hypergraph's lambda-1, balance feasibility at odd K,
-// the fault-injection recovery ladder at the new geo.* / stream.* sites,
-// deadline degradation, manual cancellation honored mid-split, and the
-// streaming summaries' O(K) memory bound.
+// The fast-path fine-grain partitioner (DESIGN.md §15): geometric recursive
+// splits. Covers the determinism contract (bit-identical at any thread
+// count), the telescoped-cut equivalence against the real hypergraph's
+// lambda-1, balance feasibility at odd K, the fault-injection recovery
+// ladder at the geo.* sites, deadline degradation, manual cancellation
+// honored mid-split, and the --method name round trip.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -15,7 +14,6 @@
 #include "partition/geo/geometric.hpp"
 #include "partition/geo/points.hpp"
 #include "partition/geo/split.hpp"
-#include "partition/geo/streaming.hpp"
 #include "partition/hg/partitioner.hpp"
 #include "sparse/testsuite.hpp"
 #include "util/cancel.hpp"
@@ -27,7 +25,6 @@ namespace {
 
 using part::geo::GeoPoints;
 using part::geo::GeoResult;
-using part::geo::StreamResult;
 
 part::PartitionConfig config_with_threads(idx_t threads) {
   part::PartitionConfig cfg;
@@ -78,27 +75,12 @@ TEST_F(FastPartTest, GeometricIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_F(FastPartTest, StreamingIdenticalAcrossThreadCounts) {
-  // Streaming is single-threaded by design; numThreads must not leak into
-  // the result (the contract is the same as geometric's).
-  std::vector<idx_t> reference;
-  for (idx_t threads : {1, 2, 8}) {
-    const StreamResult r =
-        part::geo::partition_points_streaming(stencil().pts, 8, config_with_threads(threads));
-    if (reference.empty()) reference = r.partition.assignment();
-    EXPECT_EQ(r.partition.assignment(), reference) << "threads=" << threads;
-  }
-}
-
 TEST_F(FastPartTest, RepeatedRunsAreBitIdentical) {
   const part::PartitionConfig cfg = config_with_threads(4);
   const GeoResult g1 = part::geo::partition_points_geometric(hubs().pts, 6, cfg);
   const GeoResult g2 = part::geo::partition_points_geometric(hubs().pts, 6, cfg);
   EXPECT_EQ(g1.partition.assignment(), g2.partition.assignment());
   EXPECT_EQ(g1.cutsize, g2.cutsize);
-  const StreamResult s1 = part::geo::partition_points_streaming(hubs().pts, 6, cfg);
-  const StreamResult s2 = part::geo::partition_points_streaming(hubs().pts, 6, cfg);
-  EXPECT_EQ(s1.partition.assignment(), s2.partition.assignment());
 }
 
 // ------------------------------------------- cut == hypergraph lambda-1 ----
@@ -120,13 +102,6 @@ TEST_F(FastPartTest, GeometricCutEqualsHypergraphCutsize) {
   }
 }
 
-TEST_F(FastPartTest, StreamingCutEqualsHypergraphCutsize) {
-  const StreamResult r =
-      part::geo::partition_points_streaming(stencil().pts, 8, config_with_threads(1));
-  const hg::Partition p(stencil_hypergraph(), 8, std::vector<idx_t>(r.partition.assignment()));
-  EXPECT_EQ(r.cutsize, hg::cutsize(stencil_hypergraph(), p, hg::CutMetric::kConnectivity));
-}
-
 // --------------------------------------------------- balance at odd K ----
 
 TEST_F(FastPartTest, BalanceFeasibleAtOddK) {
@@ -135,11 +110,8 @@ TEST_F(FastPartTest, BalanceFeasibleAtOddK) {
     const weight_t cap =
         hg::balance_cap(stencil().pts.total_vertex_weight(), K, cfg.epsilon);
     const GeoResult g = part::geo::partition_points_geometric(stencil().pts, K, cfg);
-    const StreamResult s = part::geo::partition_points_streaming(stencil().pts, K, cfg);
-    for (idx_t k = 0; k < K; ++k) {
+    for (idx_t k = 0; k < K; ++k)
       EXPECT_LE(g.partition.part_weight(k), cap) << "geometric K=" << K << " part " << k;
-      EXPECT_LE(s.partition.part_weight(k), cap) << "streaming K=" << K << " part " << k;
-    }
   }
 }
 
@@ -164,26 +136,6 @@ TEST_F(FastPartTest, GeometricFaultRecoveryIsThreadCountIndependent) {
     if (reference.empty()) reference = r.partition.assignment();
     EXPECT_EQ(r.partition.assignment(), reference) << "threads=" << threads;
   }
-  drain_warnings();
-}
-
-TEST_F(FastPartTest, StreamingRecoversFromAssignFault) {
-  part::PartitionConfig cfg = config_with_threads(1);
-  cfg.faultSpec = "stream.assign:1";  // first chunk faults once, retry succeeds
-  const StreamResult r = part::geo::partition_points_streaming(stencil().pts, 4, cfg);
-  EXPECT_GE(r.numRecoveries, 1);
-  EXPECT_TRUE(r.partition.complete());
-  drain_warnings();
-}
-
-TEST_F(FastPartTest, StreamingDegradesWhenEveryAttemptFaults) {
-  part::PartitionConfig cfg = config_with_threads(1);
-  cfg.faultSpec = "stream.assign,stream.retry";  // chunk ladder exhausted
-  const StreamResult r = part::geo::partition_points_streaming(stencil().pts, 4, cfg);
-  EXPECT_GE(r.numRecoveries, 1);
-  EXPECT_TRUE(r.partition.complete());
-  const weight_t cap = hg::balance_cap(stencil().pts.total_vertex_weight(), 4, cfg.epsilon);
-  for (idx_t k = 0; k < 4; ++k) EXPECT_LE(r.partition.part_weight(k), cap);
   drain_warnings();
 }
 
@@ -237,38 +189,13 @@ TEST_F(FastPartTest, GeometricDeadlineThrowsWithoutDegradation) {
   drain_warnings();
 }
 
-TEST_F(FastPartTest, StreamingDeadlineDegradesToValidPartition) {
-  part::PartitionConfig cfg = config_with_threads(1);
-  cfg.cancel = cancel::CancelToken::with_deadline_ms(0);
-  const StreamResult r = part::geo::partition_points_streaming(stencil().pts, 8, cfg);
-  EXPECT_EQ(r.numDegraded, 1);
-  EXPECT_TRUE(r.partition.complete());
-  drain_warnings();
-}
-
-// ------------------------------------------------- streaming memory bound ----
-
-TEST_F(FastPartTest, StreamingSummariesAreBoundedByK) {
-  // O(K) summary memory regardless of matrix size: the same K on a matrix
-  // ~10x larger must report exactly the same summary footprint.
-  const part::PartitionConfig cfg = config_with_threads(1);
-  const StreamResult small = part::geo::partition_points_streaming(stencil().pts, 16, cfg);
-  const model::FineGrainPoints big =
-      model::build_finegrain_points(sparse::make_matrix("finan512", 1, 0.2));
-  const StreamResult large = part::geo::partition_points_streaming(big.pts, 16, cfg);
-  EXPECT_GT(small.summaryBytes, 0u);
-  EXPECT_EQ(small.summaryBytes, large.summaryBytes);
-  const StreamResult wider = part::geo::partition_points_streaming(stencil().pts, 32, cfg);
-  EXPECT_EQ(wider.summaryBytes, 2 * small.summaryBytes);  // linear in K
-}
-
 // ------------------------------------------------------ method dispatch ----
 
 TEST_F(FastPartTest, RunFinegrainDispatchesOnMethod) {
   const sparse::Csr a = sparse::make_matrix("sherman3", 1, 0.2);
   for (part::PartitionMethod method :
        {part::PartitionMethod::kMultilevel, part::PartitionMethod::kGeometric,
-        part::PartitionMethod::kGeometricFm, part::PartitionMethod::kStreaming}) {
+        part::PartitionMethod::kGeometricFm}) {
     part::PartitionConfig cfg;
     cfg.seed = 7;
     cfg.method = method;
@@ -279,6 +206,21 @@ TEST_F(FastPartTest, RunFinegrainDispatchesOnMethod) {
     EXPECT_EQ(static_cast<idx_t>(run.decomp.nnzOwner.size()), a.nnz())
         << part::method_name(method);
   }
+}
+
+TEST(PartitionMethod, NamesRoundTripAndUnknownNamesAreRejected) {
+  for (part::PartitionMethod method :
+       {part::PartitionMethod::kMultilevel, part::PartitionMethod::kGeometric,
+        part::PartitionMethod::kGeometricFm}) {
+    part::PartitionMethod parsed = part::PartitionMethod::kMultilevel;
+    ASSERT_TRUE(part::parse_method(part::method_name(method), parsed))
+        << part::method_name(method);
+    EXPECT_EQ(parsed, method) << part::method_name(method);
+  }
+  part::PartitionMethod untouched = part::PartitionMethod::kGeometric;
+  EXPECT_FALSE(part::parse_method("streaming", untouched));
+  EXPECT_FALSE(part::parse_method("spectral", untouched));
+  EXPECT_EQ(untouched, part::PartitionMethod::kGeometric);
 }
 
 }  // namespace

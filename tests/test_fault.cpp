@@ -18,7 +18,6 @@
 #include "models/finegrain.hpp"
 #include "models/graph_model.hpp"
 #include "partition/geo/geometric.hpp"
-#include "partition/geo/streaming.hpp"
 #include "partition/gp/gpartitioner.hpp"
 #include "partition/hg/partitioner.hpp"
 #include "sparse/generators.hpp"
@@ -480,10 +479,9 @@ TEST(FaultTracing, EveryKnownSiteEmitsExactlyOneInstantWhenArmed) {
     perf::reset_for_test();
     drain_warnings();  // discard the expected single unavailability warning
   };
-  // The fast-path partitioners share the registry: geo.* arms the RB
-  // engine's bisect/retry sites for the geometric traits, stream.* the
-  // streaming driver's per-chunk ladder. Same attempt-capping scheme as
-  // rb.retry below.
+  // The geometric fast path shares the registry: geo.* arms the RB engine's
+  // bisect/retry sites for the geometric traits. Same attempt-capping scheme
+  // as rb.retry below.
   const part::geo::GeoPoints geoPts = model::build_finegrain_points(a).pts;
   auto geoPartition = [&geoPts](const std::string& spec, idx_t attempts) {
     part::PartitionConfig cfg;
@@ -492,17 +490,8 @@ TEST(FaultTracing, EveryKnownSiteEmitsExactlyOneInstantWhenArmed) {
     cfg.maxBisectAttempts = attempts;
     part::geo::partition_points_geometric(geoPts, 2, cfg);
   };
-  auto streamPartition = [&geoPts](const std::string& spec, idx_t attempts) {
-    part::PartitionConfig cfg;
-    cfg.seed = 42;
-    cfg.faultSpec = spec;
-    cfg.maxBisectAttempts = attempts;
-    part::geo::partition_points_streaming(geoPts, 2, cfg);
-  };
   triggers["geo.split"] = [&] { geoPartition("geo.split:1", 3); };
   triggers["geo.retry"] = [&] { geoPartition("geo.split:1,geo.retry:1", 2); };
-  triggers["stream.assign"] = [&] { streamPartition("stream.assign:1", 3); };
-  triggers["stream.retry"] = [&] { streamPartition("stream.assign:1,stream.retry:1", 2); };
   triggers["rb.bisect"] = [&] { hgPartition("rb.bisect:1", 3); };
   // Attempt 0 fires rb.bisect, attempt 1 fires rb.retry, and capping the
   // attempts at 2 keeps the retry site from matching again before the

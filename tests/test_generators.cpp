@@ -12,6 +12,12 @@
 #include "sparse/testsuite.hpp"
 
 namespace fghp::sparse {
+
+// Prints a suite entry by name, so the parameterized test names carry no
+// object bytes (gtest's default dump includes heap addresses, which vary
+// from run to run).
+static void PrintTo(const SuiteEntry& e, std::ostream* os) { *os << e.name; }
+
 namespace {
 
 // -------------------------------------------------------- generators ----

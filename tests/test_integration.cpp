@@ -25,6 +25,12 @@ struct PipelineCase {
   idx_t K;
 };
 
+// Keeps the parameterized test names free of object bytes, which would
+// include heap addresses that vary from run to run.
+void PrintTo(const PipelineCase& tc, std::ostream* os) {
+  *os << tc.matrix << " scale=" << tc.scale << " K=" << tc.K;
+}
+
 class Pipeline : public ::testing::TestWithParam<PipelineCase> {};
 
 TEST_P(Pipeline, AllModelsEndToEnd) {

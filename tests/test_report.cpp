@@ -306,6 +306,19 @@ TEST(RunReport, RenderFileRejectsMalformedJson) {
   std::remove(path.c_str());
 }
 
+TEST(JsonParse, RejectsBadUnicodeEscapesAndPartialNumbers) {
+  // Each must be a typed FormatError: a stray std::invalid_argument would
+  // turn `fghp_tool report FILE` into a usage error, and a silent prefix
+  // parse would accept a corrupt file.
+  for (const std::string bad :
+       {R"({"s": "\uZZZZ"})", R"({"s": "\u-1ab"})", R"({"s": "\u 12a"})", R"({"n": 1-2})",
+        R"({"n": 1.2.3})"}) {
+    EXPECT_THROW(report::jv::parse(bad), FormatError) << bad;
+  }
+  EXPECT_EQ(report::jv::parse(R"({"s": "A"})").at("s").str, "A");
+  EXPECT_EQ(report::jv::parse(R"({"n": -1.5e+2})").at("n").number, -150.0);
+}
+
 // ------------------------------------------------ watchdog attribution ----
 
 TEST(WatchdogAttribution, SimulatedStallNamesInnermostActiveSpan) {
