@@ -13,9 +13,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "comm/volume.hpp"
@@ -26,6 +25,8 @@
 #include "sparse/testsuite.hpp"
 #include "exec/kernels.hpp"
 #include "util/assert.hpp"
+#include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/observability.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
@@ -97,39 +98,26 @@ inline double stream_triad_gbps(std::size_t nDoubles, int reps) {
 }
 
 // ------------------------------------------------------------- JSON ----
-// Minimal JSON emission for the benches' --json flag: a top-level object of
-// scalar fields plus named arrays of flat records. Covers exactly what the
-// table benches write; strings in this codebase (suite names, model names)
-// never need escaping beyond quotes/backslashes.
+// The benches' --json document: top-level scalars, then named arrays of
+// flat records, one record per line. Values are collected in call order
+// and written through json::Writer.
 
 class JsonWriter {
  public:
-  void scalar(const std::string& key, double v) { scalars_.push_back({key, num(v)}); }
-  void scalar(const std::string& key, long long v) {
-    scalars_.push_back({key, std::to_string(v)});
-  }
-  void scalar(const std::string& key, const std::string& v) {
-    scalars_.push_back({key, quote(v)});
-  }
+  using Scalar = std::variant<std::string, double, long long>;
+
+  void scalar(const std::string& key, Scalar v) { scalars_.emplace_back(key, std::move(v)); }
 
   class Record {
    public:
-    Record& field(const std::string& key, const std::string& v) { return raw(key, quote(v)); }
-    Record& field(const std::string& key, double v) { return raw(key, num(v)); }
-    Record& field(const std::string& key, long long v) {
-      return raw(key, std::to_string(v));
-    }
-    Record& field(const std::string& key, idx_t v) {
-      return raw(key, std::to_string(static_cast<long long>(v)));
+    Record& field(const std::string& key, Scalar v) {
+      fields_.emplace_back(key, std::move(v));
+      return *this;
     }
 
    private:
     friend class JsonWriter;
-    Record& raw(const std::string& key, std::string v) {
-      fields_.push_back({key, std::move(v)});
-      return *this;
-    }
-    std::vector<std::pair<std::string, std::string>> fields_;
+    std::vector<std::pair<std::string, Scalar>> fields_;
   };
 
   /// Appends a record to the array named `key` (arrays keep insertion order).
@@ -141,51 +129,37 @@ class JsonWriter {
 
   /// Writes the document; returns false (after a stderr note) on I/O failure.
   bool write(const std::string& path) const {
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open '%s' for writing\n", path.c_str());
+    try {
+      json::write_file(path, [this](std::ostream& out) { write_to(out); });
+    } catch (const IoError& e) {
+      std::fprintf(stderr, "%s\n", e.what());
       return false;
     }
-    out << "{\n";
-    bool first = true;
-    for (const auto& [key, v] : scalars_) {
-      out << (first ? "" : ",\n") << "  " << quote(key) << ": " << v;
-      first = false;
-    }
-    for (const auto& [key, records] : arrays_) {
-      out << (first ? "" : ",\n") << "  " << quote(key) << ": [\n";
-      first = false;
-      for (std::size_t i = 0; i < records.size(); ++i) {
-        out << "    {";
-        for (std::size_t f = 0; f < records[i].fields_.size(); ++f) {
-          out << (f ? ", " : "") << quote(records[i].fields_[f].first) << ": "
-              << records[i].fields_[f].second;
-        }
-        out << (i + 1 < records.size() ? "},\n" : "}\n");
-      }
-      out << "  ]";
-    }
-    out << "\n}\n";
-    return static_cast<bool>(out);
+    return true;
   }
 
  private:
-  static std::string quote(const std::string& s) {
-    std::string out = "\"";
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
+  void write_to(std::ostream& out) const {
+    json::Writer w(out);
+    const auto member = [&w](const std::pair<std::string, Scalar>& kv) {
+      w.key(kv.first);
+      std::visit([&w](const auto& v) { w.value(v); }, kv.second);
+    };
+    w.begin_object(json::Layout::kLines);
+    for (const auto& kv : scalars_) member(kv);
+    for (const auto& [key, records] : arrays_) {
+      w.key(key).begin_array(json::Layout::kLines);
+      for (const Record& r : records) {
+        w.begin_object();
+        for (const auto& kv : r.fields_) member(kv);
+        w.end_object();
+      }
+      w.end_array();
     }
-    out += '"';
-    return out;
-  }
-  static std::string num(double v) {
-    std::ostringstream os;
-    os << v;  // default precision; NaN/Inf never reach here
-    return os.str();
+    w.end_object();
   }
 
-  std::vector<std::pair<std::string, std::string>> scalars_;
+  std::vector<std::pair<std::string, Scalar>> scalars_;
   std::vector<std::pair<std::string, std::vector<Record>>> arrays_;
 };
 

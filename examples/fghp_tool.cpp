@@ -29,8 +29,8 @@
 //   fghp_tool faults
 //       list every fault-injection site (see FGHP_FAULT_SPEC)
 //
-// Every command also takes --trace-out FILE (Chrome trace-event JSON of the
-// whole invocation; FGHP_TRACE=FILE is the no-flag equivalent),
+// Every command also takes --trace-out FILE|- (Chrome trace-event JSON of
+// the whole invocation; FGHP_TRACE=FILE is the no-flag equivalent),
 // --metrics-out FILE|- (flat metrics JSON; "-" = stdout), --report-out
 // FILE|- (structured RunReport JSON — phase timings, parallel efficiency,
 // modeled-vs-measured volume audit; implies tracing so the report has
@@ -79,6 +79,7 @@
 #include "util/cancel.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
+#include "util/json.hpp"
 #include "util/observability.hpp"
 #include "util/options.hpp"
 #include "util/perf_counters.hpp"
@@ -108,7 +109,8 @@ int usage() {
                "  report <report.json>   (render a saved --report-out file)\n"
                "  faults\n"
                "every command also accepts:\n"
-               "  --trace-out FILE    Chrome trace-event JSON (or FGHP_TRACE=FILE)\n"
+               "  --trace-out FILE    Chrome trace-event JSON ('-' = stdout;\n"
+               "                      FGHP_TRACE=FILE is the no-flag equivalent)\n"
                "  --metrics-out FILE  flat metrics JSON; '-' writes to stdout\n"
                "  --report-out FILE   structured RunReport JSON ('-' = stdout):\n"
                "                      phase wall/busy/critical-path times, parallel\n"
@@ -261,22 +263,24 @@ int cmd_partition(const ArgParser& args, report::Builder& rep) {
   rep.expect_volume("spmv", s.expandWords, s.foldWords,
                     static_cast<long long>(s.expandMessages) + s.foldMessages);
   if (json) {
-    std::printf("{\"model\":\"%s\",\"method\":\"%s\",\"k\":%d,"
-                "\"partition_seconds\":%.6f,\"total_seconds\":%.6f,"
-                "\"objective\":%lld,\"recoveries\":%d,\"degraded\":%d,"
-                "\"total_volume_words\":%lld,\"max_proc_words\":%lld,"
-                "\"expand_words\":%lld,\"fold_words\":%lld,"
-                "\"avg_messages_per_proc\":%.3f,\"max_messages_per_proc\":%d,"
-                "\"load_imbalance_percent\":%.3f}\n",
-                modelName.c_str(), methodName.c_str(), static_cast<int>(k),
-                run.partitionSeconds, totalTimer.seconds(),
-                static_cast<long long>(run.objective),
-                static_cast<int>(run.numRecoveries), static_cast<int>(run.numDegraded),
-                static_cast<long long>(s.totalWords),
-                static_cast<long long>(s.maxProcWords),
-                static_cast<long long>(s.expandWords),
-                static_cast<long long>(s.foldWords), s.avgMessagesPerProc,
-                static_cast<int>(s.maxMessagesPerProc), loads.percentImbalance);
+    json::Writer(std::cout)
+        .begin_object()
+        .member("model", modelName)
+        .member("method", methodName)
+        .member("k", k)
+        .member("partition_seconds", run.partitionSeconds)
+        .member("total_seconds", totalTimer.seconds())
+        .member("objective", run.objective)
+        .member("recoveries", run.numRecoveries)
+        .member("degraded", run.numDegraded)
+        .member("total_volume_words", s.totalWords)
+        .member("max_proc_words", s.maxProcWords)
+        .member("expand_words", s.expandWords)
+        .member("fold_words", s.foldWords)
+        .member("avg_messages_per_proc", s.avgMessagesPerProc)
+        .member("max_messages_per_proc", s.maxMessagesPerProc)
+        .member("load_imbalance_percent", loads.percentImbalance)
+        .end_object();
   } else {
     std::printf("model=%s method=%s K=%d time=%.3fs total=%.3fs recoveries=%d degraded=%d\n",
                 modelName.c_str(), methodName.c_str(), static_cast<int>(k),

@@ -245,6 +245,32 @@ print("  FGHP_PERF=OFF: clean report, compiled_in=false")
 PY
 rm -rf "$ptmp"
 
+# Parses a bench --json document; fails on any null or non-finite number in
+# it, and on a compiled_gflops / gflops <= 0 in any record. A second argument
+# names a throughput field that must appear in some record.
+check_bench_json() {  # $1 = bench JSON file, [$2 = required throughput field]
+  python3 - "$@" <<'PY'
+import json, math, sys
+path, need = sys.argv[1], sys.argv[2:]
+def values(v):
+    if isinstance(v, dict): v = list(v.values())
+    return [y for x in v for y in values(x)] if isinstance(v, list) else [v]
+doc = json.load(open(path))
+if any(v is None or (isinstance(v, float) and not math.isfinite(v)) for v in values(doc)):
+    sys.exit(f"perf smoke FAILED: null or non-finite number in {path}")
+flops = {}
+for records in (v for v in doc.values() if isinstance(v, list)):
+    for f, g in ((f, r[f]) for r in records for f in ("compiled_gflops", "gflops") if f in r):
+        if not g > 0:
+            sys.exit(f"perf smoke FAILED: {f} {g} <= 0 in {path}")
+        flops[f] = min(flops.get(f, g), g)
+for f in need:
+    if f not in flops:
+        sys.exit(f"perf smoke FAILED: no record carries {f} in {path}")
+    print(f"  {path}: min {f} {flops[f]} GFLOP/s, every number finite")
+PY
+}
+
 echo "--- quick benches (reduced scale) ---"
 FGHP_SCALE=0.15 FGHP_SEEDS=1 FGHP_K=16 ./build/bench/bench_table2
 FGHP_SCALE=0.15 ./build/bench/bench_ablation_checkerboard
@@ -256,17 +282,7 @@ echo "--- perf smoke: compiled SpMV session ---"
 # committed BENCH_spmv.json trajectory.
 FGHP_MATRICES=sherman3 FGHP_SCALE=0.05 FGHP_K=16 FGHP_REPS=5 FGHP_STREAM_MB=16 \
     ./build/bench/bench_spmv --json build/bench_spmv_smoke.json
-if grep -qiE 'nan|inf' build/bench_spmv_smoke.json; then
-  echo "perf smoke FAILED: non-finite value in build/bench_spmv_smoke.json"
-  exit 1
-fi
-gflops=$(grep -o '"compiled_gflops": *[0-9.eE+-]*' build/bench_spmv_smoke.json \
-         | head -1 | awk '{print $2}')
-awk -v g="${gflops:-0}" 'BEGIN { exit (g > 0) ? 0 : 1 }' || {
-  echo "perf smoke FAILED: compiled throughput is ${gflops:-missing} GFLOP/s"
-  exit 1
-}
-echo "  compiled session: $gflops GFLOP/s (artifact: build/bench_spmv_smoke.json)"
+check_bench_json build/bench_spmv_smoke.json compiled_gflops
 
 # Roofline regression gate: on every (matrix, K) the smoke run shares with
 # the committed BENCH_spmv.json, achieved bandwidth must stay above 50 % of
@@ -301,17 +317,7 @@ echo "--- perf smoke: SpGEMM through the generic core ---"
 # JSON stays in build/ for comparison against the committed BENCH_spgemm.json.
 FGHP_MATRICES=sherman3 FGHP_SCALE=0.15 FGHP_K=8 FGHP_REPS=5 \
     ./build/bench/bench_spgemm --json build/bench_spgemm_smoke.json
-if grep -qiE 'nan|inf' build/bench_spgemm_smoke.json; then
-  echo "perf smoke FAILED: non-finite value in build/bench_spgemm_smoke.json"
-  exit 1
-fi
-sgflops=$(grep -o '"gflops": *[0-9.eE+-]*' build/bench_spgemm_smoke.json \
-          | head -1 | awk '{print $2}')
-awk -v g="${sgflops:-0}" 'BEGIN { exit (g > 0) ? 0 : 1 }' || {
-  echo "perf smoke FAILED: SpGEMM throughput is ${sgflops:-missing} GFLOP/s"
-  exit 1
-}
-echo "  spgemm session: $sgflops GFLOP/s (artifact: build/bench_spgemm_smoke.json)"
+check_bench_json build/bench_spgemm_smoke.json gflops
 
 echo "--- perf smoke: partitioner Pareto front ---"
 # All three fine-grain methods across two structurally different matrices.
@@ -321,17 +327,10 @@ echo "--- perf smoke: partitioner Pareto front ---"
 # committed BENCH_pareto.json headline is the full-scale version of this).
 FGHP_MATRICES=sherman3,finan512 FGHP_SCALE=0.1 FGHP_K=16 FGHP_SPGEMM_SCALE=0.05 \
     ./build/bench/bench_pareto --json build/bench_pareto_smoke.json
+check_bench_json build/bench_pareto_smoke.json
 python3 - <<'PY'
-import json, math, sys
-# parse_constant rejects bare NaN/Infinity tokens (matrix names like
-# "finan512" make a plain grep for nan/inf useless here)
-smoke = json.load(open("build/bench_pareto_smoke.json"),
-                  parse_constant=lambda c: sys.exit(
-                      f"perf smoke FAILED: non-finite value {c} in JSON"))
-for run in smoke["runs"]:
-    for key, val in run.items():
-        if isinstance(val, float) and not math.isfinite(val):
-            sys.exit(f"perf smoke FAILED: non-finite {key} in run {run}")
+import json, sys
+smoke = json.load(open("build/bench_pareto_smoke.json"))
 speedup = smoke.get("headline_speedup", 0.0)
 matrix = smoke.get("headline_matrix", "?")
 if not speedup or speedup <= 1.0:

@@ -29,6 +29,10 @@
 #include <string>
 #include <vector>
 
+namespace fghp::json {
+class Writer;
+}
+
 namespace fghp::metrics {
 
 /// Monotonic counter (resettable for test isolation).
@@ -107,9 +111,7 @@ class Registry {
   /// Copies every metric's current value (one lock, values relaxed-read).
   Snapshot snapshot() const;
 
-  /// Flat JSON: {"counters":{...},"gauges":{...},"histograms":{...}}.
-  /// Metrics appear sorted by name; histograms serialize bounds, per-bucket
-  /// counts, total count and sum.
+  /// write_json of snapshot() as a whole document.
   void write_json(std::ostream& out) const;
 
   /// Zeroes every metric, keeping registrations (references stay valid).
@@ -140,8 +142,10 @@ inline Histogram& histogram(const std::string& name, std::vector<std::int64_t> b
   return Registry::global().histogram(name, std::move(bounds));
 }
 
-/// write_json of the global registry to a file, or to stdout when path is
-/// "-" (the CLIs' --metrics-out contract). Throws IoError on write failure.
-void write_global_json(const std::string& pathOrDash);
+/// Flat JSON object {"counters":{...},"gauges":{...},"histograms":{...}},
+/// one metric per line, sorted by name; histograms serialize bounds,
+/// per-bucket counts, total count and sum. The metrics file and the
+/// RunReport's metrics section are both written by this function.
+void write_json(json::Writer& w, const Snapshot& s);
 
 }  // namespace fghp::metrics

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/perf_counters.hpp"
 #include "util/trace.hpp"
@@ -29,9 +30,20 @@ int Observability::finish(int rc) const {
       exportRc = static_cast<int>(ErrorCode::kIo);
     }
   };
-  if (!traceOut_.empty()) attempt([&] { trace::write_chrome_trace_file(traceOut_); });
-  if (!metricsOut_.empty()) attempt([&] { metrics::write_global_json(metricsOut_); });
-  if (!reportOut_.empty()) attempt([&] { report::write_file(rep_->build(), reportOut_); });
+  if (!traceOut_.empty())
+    attempt([&] { json::write_file(traceOut_, trace::write_chrome_trace); });
+  if (!metricsOut_.empty()) {
+    attempt([&] {
+      json::write_file(metricsOut_,
+                       [](std::ostream& o) { metrics::Registry::global().write_json(o); });
+    });
+  }
+  if (!reportOut_.empty()) {
+    attempt([&] {
+      json::write_file(reportOut_,
+                       [&](std::ostream& o) { report::write_json(rep_->build(), o); });
+    });
+  }
   return rc != 0 ? rc : exportRc;
 }
 

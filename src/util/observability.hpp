@@ -1,7 +1,7 @@
 // The command-line mains' standard observability flags, parsed and exported
 // in one place (fghp_tool, cg_solver and every bench main):
 //
-//   --trace-out FILE       Chrome trace-event JSON of the whole run
+//   --trace-out FILE|-     Chrome trace-event JSON of the whole run
 //   --metrics-out FILE|-   flat metrics JSON ("-" = stdout)
 //   --report-out FILE|-    structured RunReport (implies tracing, so the
 //                          report has phases)

@@ -1,16 +1,14 @@
 #include "util/report.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <cstdio>
 #include <fstream>
-#include <iostream>
 #include <limits>
 #include <ostream>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/perf_counters.hpp"
 #include "util/table.hpp"
 #include "util/trace.hpp"
@@ -73,36 +71,6 @@ long long delta_counter(const metrics::Snapshot& cur, const metrics::Snapshot& b
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-// ----------------------------------------------------------- JSON out ----
-
-void json_string(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-      out << buf;
-    } else {
-      out << c;
-    }
-  }
-  out << '"';
-}
-
-std::string jnum(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.10g", v);
-  // JSON has no NaN/Inf literals; clamp to null-safe 0 (never produced by a
-  // healthy run, but a report writer must not emit an unparseable file).
-  for (const char* p = buf; *p != '\0'; ++p) {
-    if (std::isalpha(static_cast<unsigned char>(*p)) && *p != 'e' && *p != 'E')
-      return "0";
-  }
-  return buf;
 }
 
 }  // namespace
@@ -303,322 +271,94 @@ RunReport Builder::build() const {
 // --------------------------------------------------------------- writer ----
 
 void write_json(const RunReport& r, std::ostream& out) {
-  out << "{\n  \"run_report_version\": " << r.version << ",\n  \"tool\": ";
-  json_string(out, r.tool);
-  out << ",\n  \"command\": ";
-  json_string(out, r.command);
-  out << ",\n  \"status\": ";
-  json_string(out, r.status);
-  out << ",\n  \"error\": ";
-  json_string(out, r.error);
-  out << ",\n  \"wall_ms\": " << jnum(r.wallMs) << ",\n  \"cpu_ms\": " << jnum(r.cpuMs);
+  json::Writer w(out);
+  w.begin_object(json::Layout::kLines)
+      .member("run_report_version", r.version)
+      .member("tool", r.tool)
+      .member("command", r.command)
+      .member("status", r.status)
+      .member("error", r.error)
+      .member("wall_ms", r.wallMs)
+      .member("cpu_ms", r.cpuMs);
 
-  out << ",\n  \"info\": {";
-  bool first = true;
-  for (const auto& [k, v] : r.info) {
-    out << (first ? "\n    " : ",\n    ");
-    first = false;
-    json_string(out, k);
-    out << ": ";
-    json_string(out, v);
+  w.key("info").begin_object(json::Layout::kLines);
+  for (const auto& [k, v] : r.info) w.member(k, v);
+  w.end_object();
+
+  w.key("trace")
+      .begin_object()
+      .member("enabled", r.traceEnabled)
+      .member("events", r.traceEvents)
+      .member("dropped", r.traceDropped)
+      .end_object();
+
+  w.key("phases").begin_array(json::Layout::kLines);
+  for (const PhaseStat& p : r.phases) {
+    w.begin_object()
+        .member("name", p.name)
+        .member("spans", p.spans)
+        .member("workers", p.workers)
+        .member("wall_ms", p.wallMs)
+        .member("busy_ms", p.busyMs)
+        .member("critical_path_ms", p.criticalPathMs)
+        .member("parallel_efficiency", p.parallelEfficiency)
+        .end_object();
   }
-  out << (first ? "}" : "\n  }");
+  w.end_array();
 
-  out << ",\n  \"trace\": {\"enabled\": " << (r.traceEnabled ? "true" : "false")
-      << ", \"events\": " << r.traceEvents << ", \"dropped\": " << r.traceDropped
-      << "}";
-
-  out << ",\n  \"phases\": [";
-  for (std::size_t i = 0; i < r.phases.size(); ++i) {
-    const PhaseStat& p = r.phases[i];
-    out << (i == 0 ? "\n    " : ",\n    ") << "{\"name\": ";
-    json_string(out, p.name);
-    out << ", \"spans\": " << p.spans << ", \"workers\": " << p.workers
-        << ", \"wall_ms\": " << jnum(p.wallMs) << ", \"busy_ms\": " << jnum(p.busyMs)
-        << ", \"critical_path_ms\": " << jnum(p.criticalPathMs)
-        << ", \"parallel_efficiency\": " << jnum(p.parallelEfficiency) << "}";
+  w.key("workers").begin_array(json::Layout::kLines);
+  for (const WorkerStat& wk : r.workers) {
+    w.begin_object()
+        .member("tid", wk.tid)
+        .member("busy_ms", wk.busyMs)
+        .member("utilization", wk.utilization)
+        .end_object();
   }
-  out << (r.phases.empty() ? "]" : "\n  ]");
+  w.end_array();
 
-  out << ",\n  \"workers\": [";
-  for (std::size_t i = 0; i < r.workers.size(); ++i) {
-    const WorkerStat& w = r.workers[i];
-    out << (i == 0 ? "\n    " : ",\n    ") << "{\"tid\": " << w.tid
-        << ", \"busy_ms\": " << jnum(w.busyMs)
-        << ", \"utilization\": " << jnum(w.utilization) << "}";
-  }
-  out << (r.workers.empty() ? "]" : "\n  ]");
+  w.key("perf")
+      .begin_object()
+      .member("compiled_in", r.perf.compiledIn)
+      .member("enabled", r.perf.enabled)
+      .member("available", r.perf.available)
+      .member("cycles", r.perf.cycles)
+      .member("instructions", r.perf.instructions)
+      .member("llc_misses", r.perf.llcMisses)
+      .member("branch_misses", r.perf.branchMisses)
+      .end_object();
 
-  out << ",\n  \"perf\": {\"compiled_in\": " << (r.perf.compiledIn ? "true" : "false")
-      << ", \"enabled\": " << (r.perf.enabled ? "true" : "false")
-      << ", \"available\": " << (r.perf.available ? "true" : "false")
-      << ", \"cycles\": " << r.perf.cycles
-      << ", \"instructions\": " << r.perf.instructions
-      << ", \"llc_misses\": " << r.perf.llcMisses
-      << ", \"branch_misses\": " << r.perf.branchMisses << "}";
-
-  out << ",\n  \"volume_audit\": {\"present\": " << (r.audit.present ? "true" : "false");
+  w.key("volume_audit").begin_object().member("present", r.audit.present);
   if (r.audit.present) {
-    out << ", \"metric_prefix\": ";
-    json_string(out, r.audit.metricPrefix);
-    out << ", \"iterations\": " << r.audit.iterations
-        << ", \"modeled_expand_words\": " << r.audit.modeledExpandWords
-        << ", \"modeled_fold_words\": " << r.audit.modeledFoldWords
-        << ", \"modeled_messages\": " << r.audit.modeledMessages
-        << ", \"measured_expand_words\": " << r.audit.measuredExpandWords
-        << ", \"measured_fold_words\": " << r.audit.measuredFoldWords
-        << ", \"measured_messages\": " << r.audit.measuredMessages
-        << ", \"matches\": " << (r.audit.matches ? "true" : "false");
+    w.member("metric_prefix", r.audit.metricPrefix)
+        .member("iterations", r.audit.iterations)
+        .member("modeled_expand_words", r.audit.modeledExpandWords)
+        .member("modeled_fold_words", r.audit.modeledFoldWords)
+        .member("modeled_messages", r.audit.modeledMessages)
+        .member("measured_expand_words", r.audit.measuredExpandWords)
+        .member("measured_fold_words", r.audit.measuredFoldWords)
+        .member("measured_messages", r.audit.measuredMessages)
+        .member("matches", r.audit.matches);
   }
-  out << "}";
+  w.end_object();
 
-  out << ",\n  \"proc_comm\": {\"present\": " << (r.comm.present ? "true" : "false");
+  w.key("proc_comm").begin_object().member("present", r.comm.present);
   if (r.comm.present) {
-    out << ", \"total_words\": " << r.comm.totalWords
-        << ", \"max_proc_words\": " << r.comm.maxProcWords
-        << ", \"avg_proc_words\": " << jnum(r.comm.avgProcWords)
-        << ", \"imbalance_percent\": " << jnum(r.comm.imbalancePercent)
-        << ", \"send_words\": [";
-    for (std::size_t i = 0; i < r.comm.sendWords.size(); ++i)
-      out << (i ? "," : "") << r.comm.sendWords[i];
-    out << "], \"recv_words\": [";
-    for (std::size_t i = 0; i < r.comm.recvWords.size(); ++i)
-      out << (i ? "," : "") << r.comm.recvWords[i];
-    out << "]";
+    w.member("total_words", r.comm.totalWords)
+        .member("max_proc_words", r.comm.maxProcWords)
+        .member("avg_proc_words", r.comm.avgProcWords)
+        .member("imbalance_percent", r.comm.imbalancePercent);
+    w.key("send_words").begin_array();
+    for (const long long v : r.comm.sendWords) w.value(v);
+    w.end_array().key("recv_words").begin_array();
+    for (const long long v : r.comm.recvWords) w.value(v);
+    w.end_array();
   }
-  out << "}";
+  w.end_object();
 
-  out << ",\n  \"metrics\": {\n    \"counters\": {";
-  first = true;
-  for (const auto& [name, v] : r.metricsDelta.counters) {
-    out << (first ? "\n      " : ",\n      ");
-    first = false;
-    json_string(out, name);
-    out << ": " << v;
-  }
-  out << (first ? "}" : "\n    }") << ",\n    \"gauges\": {";
-  first = true;
-  for (const auto& [name, v] : r.metricsDelta.gauges) {
-    out << (first ? "\n      " : ",\n      ");
-    first = false;
-    json_string(out, name);
-    out << ": " << v;
-  }
-  out << (first ? "}" : "\n    }") << ",\n    \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : r.metricsDelta.histograms) {
-    out << (first ? "\n      " : ",\n      ");
-    first = false;
-    json_string(out, name);
-    out << ": {\"bounds\": [";
-    for (std::size_t i = 0; i < h.bounds.size(); ++i)
-      out << (i ? "," : "") << h.bounds[i];
-    out << "], \"counts\": [";
-    for (std::size_t i = 0; i < h.counts.size(); ++i)
-      out << (i ? "," : "") << h.counts[i];
-    out << "], \"count\": " << h.count << ", \"sum\": " << h.sum << "}";
-  }
-  out << (first ? "}" : "\n    }") << "\n  }\n}\n";
+  w.key("metrics");
+  metrics::write_json(w, r.metricsDelta);
+  w.end_object();
 }
-
-void write_file(const RunReport& r, const std::string& pathOrDash) {
-  if (pathOrDash == "-") {
-    write_json(r, std::cout);
-    std::cout.flush();
-    return;
-  }
-  std::ofstream out(pathOrDash);
-  if (!out)
-    throw IoError("cannot open report file for writing: " + pathOrDash,
-                  at_path(pathOrDash));
-  write_json(r, out);
-  out.flush();
-  if (!out) throw IoError("report write failed: " + pathOrDash, at_path(pathOrDash));
-}
-
-// --------------------------------------------------------------- parser ----
-
-namespace jv {
-
-bool Value::has(const std::string& key) const {
-  return type == Type::kObject && object.count(key) > 0;
-}
-
-const Value& Value::at(const std::string& key) const {
-  if (type != Type::kObject) throw FormatError("JSON: member access on a non-object");
-  const auto it = object.find(key);
-  if (it == object.end()) throw FormatError("JSON: missing member '" + key + "'");
-  return it->second;
-}
-
-namespace {
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : s_(text) {}
-
-  Value parse_document() {
-    Value v = parse_value();
-    skip_ws();
-    if (pos_ != s_.size()) throw FormatError("JSON: trailing characters");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw FormatError("JSON: " + what + " at offset " + std::to_string(pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' || s_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  char peek() {
-    if (pos_ >= s_.size()) fail("unexpected end of input");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume_lit(const char* lit) {
-    const std::size_t n = std::string(lit).size();
-    if (s_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-
-  Value parse_value() {
-    skip_ws();
-    const char c = peek();
-    Value v;
-    if (c == '{') {
-      v.type = Value::Type::kObject;
-      ++pos_;
-      skip_ws();
-      if (peek() == '}') {
-        ++pos_;
-        return v;
-      }
-      for (;;) {
-        skip_ws();
-        std::string key = parse_string();
-        skip_ws();
-        expect(':');
-        v.object[std::move(key)] = parse_value();
-        skip_ws();
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        expect('}');
-        return v;
-      }
-    }
-    if (c == '[') {
-      v.type = Value::Type::kArray;
-      ++pos_;
-      skip_ws();
-      if (peek() == ']') {
-        ++pos_;
-        return v;
-      }
-      for (;;) {
-        v.array.push_back(parse_value());
-        skip_ws();
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        expect(']');
-        return v;
-      }
-    }
-    if (c == '"') {
-      v.type = Value::Type::kString;
-      v.str = parse_string();
-      return v;
-    }
-    if (consume_lit("true")) {
-      v.type = Value::Type::kBool;
-      v.boolean = true;
-      return v;
-    }
-    if (consume_lit("false")) {
-      v.type = Value::Type::kBool;
-      v.boolean = false;
-      return v;
-    }
-    if (consume_lit("null")) return v;
-    // number
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) || s_[pos_] == '-' ||
-            s_[pos_] == '+' || s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E'))
-      ++pos_;
-    if (pos_ == start) fail("unexpected character");
-    // The whole token must be one number: "1-2" or "1.2.3" is malformed,
-    // not a prefix followed by junk.
-    const char* last = s_.data() + pos_;
-    const auto [end, ec] = std::from_chars(s_.data() + start, last, v.number);
-    if (ec != std::errc() || end != last) fail("malformed number");
-    v.type = Value::Type::kNumber;
-    return v;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= s_.size()) fail("unterminated string");
-      const char c = s_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= s_.size()) fail("unterminated escape");
-      const char e = s_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
-          // Exactly four hex digits: no sign, space or short digit run.
-          unsigned code = 0;
-          const char* first = s_.data() + pos_;
-          const auto [end, ec] = std::from_chars(first, first + 4, code, 16);
-          if (ec != std::errc() || end != first + 4) fail("\\u escape needs four hex digits");
-          pos_ += 4;
-          // Our own writers only escape control characters; anything in the
-          // BMP below 0x80 round-trips, the rest degrades to '?'.
-          out += code < 0x80 ? static_cast<char>(code) : '?';
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-Value parse(const std::string& text) { return Parser(text).parse_document(); }
-
-}  // namespace jv
 
 // -------------------------------------------------------------- renderer ----
 
@@ -637,7 +377,7 @@ void render_file(const std::string& path, std::ostream& out) {
   if (!in) throw IoError("cannot open report file: " + path, at_path(path));
   std::ostringstream buf;
   buf << in.rdbuf();
-  const jv::Value doc = jv::parse(buf.str());
+  const json::Value doc = json::parse(buf.str());
 
   const long long version = doc.at("run_report_version").as_int();
   out << "RunReport v" << version << ": " << doc.at("tool").str << " "
@@ -655,16 +395,16 @@ void render_file(const std::string& path, std::ostream& out) {
     for (const auto& [k, v] : doc.at("info").object) out << " " << k << "=" << v.str;
     out << "\n";
   }
-  const jv::Value& tr = doc.at("trace");
+  const json::Value& tr = doc.at("trace");
   out << "  trace: " << (tr.at("enabled").boolean ? "enabled" : "disabled") << ", "
       << tr.at("events").as_int() << " events, " << tr.at("dropped").as_int()
       << " dropped\n";
 
-  const jv::Value& phases = doc.at("phases");
+  const json::Value& phases = doc.at("phases");
   if (!phases.array.empty()) {
     out << "\nphases (wall / busy / critical path, parallel efficiency):\n";
     Table t({"phase", "spans", "workers", "wall ms", "busy ms", "crit ms", "eff"});
-    for (const jv::Value& p : phases.array) {
+    for (const json::Value& p : phases.array) {
       t.add_row({p.at("name").str, Table::num(p.at("spans").as_int()),
                  Table::num(p.at("workers").as_int()),
                  Table::num(p.at("wall_ms").number, 3),
@@ -675,18 +415,18 @@ void render_file(const std::string& path, std::ostream& out) {
     out << t.to_string();
   }
 
-  const jv::Value& workers = doc.at("workers");
+  const json::Value& workers = doc.at("workers");
   if (!workers.array.empty()) {
     out << "\nworkers:\n";
     Table t({"tid", "busy ms", "utilization"});
-    for (const jv::Value& w : workers.array) {
+    for (const json::Value& w : workers.array) {
       t.add_row({Table::num(w.at("tid").as_int()), Table::num(w.at("busy_ms").number, 3),
                  pct(w.at("utilization").number)});
     }
     out << t.to_string();
   }
 
-  const jv::Value& perf = doc.at("perf");
+  const json::Value& perf = doc.at("perf");
   out << "\nperf counters: ";
   if (!perf.at("compiled_in").boolean) {
     out << "compiled out (FGHP_PERF=OFF)\n";
@@ -706,7 +446,7 @@ void render_file(const std::string& path, std::ostream& out) {
     out << line;
   }
 
-  const jv::Value& audit = doc.at("volume_audit");
+  const json::Value& audit = doc.at("volume_audit");
   if (audit.at("present").boolean) {
     out << "volume audit [" << audit.at("metric_prefix").str << "]: "
         << (audit.at("matches").boolean ? "MATCH" : "MISMATCH") << " — "
@@ -721,7 +461,7 @@ void render_file(const std::string& path, std::ostream& out) {
     out << "volume audit: not armed\n";
   }
 
-  const jv::Value& comm = doc.at("proc_comm");
+  const json::Value& comm = doc.at("proc_comm");
   if (comm.at("present").boolean) {
     char line[192];
     std::snprintf(line, sizeof line,
@@ -733,7 +473,7 @@ void render_file(const std::string& path, std::ostream& out) {
     out << line;
   }
 
-  const jv::Value& metrics = doc.at("metrics");
+  const json::Value& metrics = doc.at("metrics");
   out << "metrics: " << metrics.at("counters").object.size() << " counters, "
       << metrics.at("gauges").object.size() << " gauges, "
       << metrics.at("histograms").object.size()

@@ -169,38 +169,8 @@ class Builder {
 /// Serializes the report as JSON (schema: DESIGN.md §16).
 void write_json(const RunReport& r, std::ostream& out);
 
-/// Same, to a file — or stdout when the path is "-" (the --report-out
-/// contract). Throws IoError on write failure.
-void write_file(const RunReport& r, const std::string& pathOrDash);
-
 /// Renders a saved RunReport JSON file as human-readable tables (the
 /// `fghp_tool report` subcommand). Throws IoError / FormatError.
 void render_file(const std::string& path, std::ostream& out);
-
-// ------------------------------------------------------------------------
-// Minimal generic JSON value + recursive-descent parser: enough to read back
-// our own documents (reports, metrics, traces) for rendering and tests.
-// Numbers are doubles; objects are name-sorted maps.
-namespace jv {
-
-struct Value {
-  enum class Type { kNull, kBool, kNumber, kString, kObject, kArray };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::map<std::string, Value> object;
-  std::vector<Value> array;
-
-  bool has(const std::string& key) const;
-  /// Member access; throws FormatError when absent or not an object.
-  const Value& at(const std::string& key) const;
-  long long as_int() const { return static_cast<long long>(number); }
-};
-
-/// Parses one JSON document. Throws FormatError on malformed input.
-Value parse(const std::string& text);
-
-}  // namespace jv
 
 }  // namespace fghp::report

@@ -1,7 +1,10 @@
-// Wall-clock timing helpers for the benchmark harnesses.
+// Wall-clock stopwatch on the tracer's clock (trace::now_ns), so timings and
+// trace spans read one clock.
 #pragma once
 
-#include <chrono>
+#include <cstdint>
+
+#include "util/trace.hpp"
 
 namespace fghp {
 
@@ -12,29 +15,16 @@ class WallTimer {
   WallTimer() { reset(); }
 
   /// Restarts the stopwatch.
-  void reset();
+  void reset() { startNs_ = trace::now_ns(); }
 
   /// Elapsed seconds since construction / last reset().
-  double seconds() const;
+  double seconds() const { return static_cast<double>(trace::now_ns() - startNs_) / 1e9; }
 
   /// Elapsed milliseconds since construction / last reset().
   double millis() const { return seconds() * 1e3; }
 
  private:
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// Accumulates the total of several timed sections (partitioner phases).
-class Accumulator {
- public:
-  void add(double seconds) { total_ += seconds; ++count_; }
-  double total() const { return total_; }
-  long count() const { return count_; }
-  double mean() const { return count_ ? total_ / static_cast<double>(count_) : 0.0; }
-
- private:
-  double total_ = 0.0;
-  long count_ = 0;
+  std::uint64_t startNs_ = 0;
 };
 
 }  // namespace fghp

@@ -210,11 +210,9 @@ class TraceScope {
 
 /// Writes every recorded event as Chrome trace-event JSON
 /// ({"traceEvents":[...]}). Events are sorted by start time; ts/dur are in
-/// microseconds as the format requires.
+/// microseconds as the format requires; one event per line. Pass it to
+/// json::write_file to write a file.
 void write_chrome_trace(std::ostream& out);
-
-/// Same, to a file. Throws IoError if the file cannot be written.
-void write_chrome_trace_file(const std::string& path);
 
 /// Captures one region into a trace file: enables tracing on construction
 /// (remembering whether it was already on) and writes `path` on destruction,

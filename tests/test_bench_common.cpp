@@ -1,8 +1,12 @@
 // Benchmark plumbing tests: the median estimator every throughput bench
-// reports, and the STREAM-triad baseline the roofline section divides by.
+// reports, the STREAM-triad baseline the roofline section divides by, and
+// the --json document's number precision.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 
 #include "bench_common.hpp"
@@ -38,6 +42,23 @@ TEST(StreamTriad, ReportsPositiveFiniteBandwidth) {
   const double gbps = stream_triad_gbps(1 << 16, 3);
   EXPECT_GT(gbps, 0.0);
   EXPECT_TRUE(std::isfinite(gbps));
+}
+
+TEST(BenchJson, DoublesReadBackBitIdentical) {
+  // Bench numbers are evidence: the document must carry every bit, not a
+  // rounded spelling.
+  JsonWriter doc;
+  doc.scalar("third", 1.0 / 3.0);
+  doc.add("runs").field("ms", 0.017494512345678901);
+  const std::string path = ::testing::TempDir() + "fghp_bench_json_bits.json";
+  ASSERT_TRUE(doc.write(path));
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::remove(path.c_str());
+  const json::Value v = json::parse(text.str());
+  EXPECT_EQ(v.at("third").number, 1.0 / 3.0);
+  EXPECT_EQ(v.at("runs").array.at(0).at("ms").number, 0.017494512345678901);
 }
 
 }  // namespace

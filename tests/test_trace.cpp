@@ -1,6 +1,6 @@
 // Tracing & metrics layer tests: span nesting across thread counts, ring
 // overflow (drops-oldest with an exact drop count), Chrome trace-event JSON
-// round-trip through report::jv::parse, the disabled-mode guarantees (records
+// round-trip through json::parse, the disabled-mode guarantees (records
 // nothing, allocates nothing), the phase-timer adapter, ScopedCapture, the
 // metrics registry JSON, and partition bit-identity with tracing on/off.
 #include <gtest/gtest.h>
@@ -23,7 +23,7 @@
 #include "partition/phase_timers.hpp"
 #include "sparse/generators.hpp"
 #include "util/metrics.hpp"
-#include "util/report.hpp"
+#include "util/json.hpp"
 #include "util/trace.hpp"
 
 // ---------------------------------------------------------------------------
@@ -52,13 +52,11 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace fghp {
 namespace {
 
-namespace jv = report::jv;
-
 /// Exports the current trace and parses it back.
-jv::Value export_and_parse() {
+json::Value export_and_parse() {
   std::ostringstream os;
   trace::write_chrome_trace(os);
-  return jv::parse(os.str());
+  return json::parse(os.str());
 }
 
 /// RAII guard: every test leaves tracing disabled and empty. The explicit
@@ -75,8 +73,8 @@ struct TraceSandbox {
   }
 };
 
-const jv::Value* find_event(const jv::Value& doc, const std::string& name) {
-  for (const jv::Value& e : doc.at("traceEvents").array)
+const json::Value* find_event(const json::Value& doc, const std::string& name) {
+  for (const json::Value& e : doc.at("traceEvents").array)
     if (e.at("name").str == name) return &e;
   return nullptr;
 }
@@ -91,11 +89,11 @@ TEST(ChromeTrace, RoundTripSpanInstantCounter) {
   trace::instant("cat.inst", "a.instant", "ord", 42);
   trace::counter("cat.ctr", "a.counter", 12.5, "proc", 2);
 
-  const jv::Value doc = export_and_parse();
+  const json::Value doc = export_and_parse();
   EXPECT_EQ(doc.at("otherData").at("droppedEvents").number, 0.0);
   ASSERT_EQ(doc.at("traceEvents").array.size(), 3u);
 
-  const jv::Value* span = find_event(doc, "a.span");
+  const json::Value* span = find_event(doc, "a.span");
   ASSERT_NE(span, nullptr);
   EXPECT_EQ(span->at("ph").str, "X");
   EXPECT_EQ(span->at("cat").str, "cat.span");
@@ -104,14 +102,14 @@ TEST(ChromeTrace, RoundTripSpanInstantCounter) {
   EXPECT_EQ(span->at("args").at("k0").number, 7.0);
   EXPECT_EQ(span->at("args").at("k1").number, -3.0);
 
-  const jv::Value* inst = find_event(doc, "a.instant");
+  const json::Value* inst = find_event(doc, "a.instant");
   ASSERT_NE(inst, nullptr);
   EXPECT_EQ(inst->at("ph").str, "i");
   EXPECT_EQ(inst->at("s").str, "t");
   EXPECT_EQ(inst->at("args").at("ord").number, 42.0);
   EXPECT_FALSE(inst->has("dur"));
 
-  const jv::Value* ctr = find_event(doc, "a.counter");
+  const json::Value* ctr = find_event(doc, "a.counter");
   ASSERT_NE(ctr, nullptr);
   EXPECT_EQ(ctr->at("ph").str, "C");
   EXPECT_EQ(ctr->at("args").at("value").number, 12.5);
@@ -130,10 +128,10 @@ TEST(TraceSpans, NestedScopesContainedSingleThread) {
     }
   }
 
-  const jv::Value doc = export_and_parse();
-  const jv::Value* outer = find_event(doc, "outer");
-  const jv::Value* mid = find_event(doc, "mid");
-  const jv::Value* inner = find_event(doc, "inner");
+  const json::Value doc = export_and_parse();
+  const json::Value* outer = find_event(doc, "outer");
+  const json::Value* mid = find_event(doc, "mid");
+  const json::Value* inner = find_event(doc, "inner");
   ASSERT_NE(outer, nullptr);
   ASSERT_NE(mid, nullptr);
   ASSERT_NE(inner, nullptr);
@@ -141,7 +139,7 @@ TEST(TraceSpans, NestedScopesContainedSingleThread) {
   EXPECT_EQ(outer->at("tid").number, mid->at("tid").number);
   EXPECT_EQ(mid->at("tid").number, inner->at("tid").number);
 
-  auto contains = [](const jv::Value& a, const jv::Value& b) {  // a contains b
+  auto contains = [](const json::Value& a, const json::Value& b) {  // a contains b
     return a.at("ts").number <= b.at("ts").number &&
            b.at("ts").number + b.at("dur").number <= a.at("ts").number + a.at("dur").number;
   };
@@ -164,9 +162,9 @@ TEST_P(TraceSpansMt, PerThreadNestingAndDistinctTids) {
   }
   for (auto& th : pool) th.join();
 
-  const jv::Value doc = export_and_parse();
-  std::map<int, const jv::Value*> outers, inners;
-  for (const jv::Value& e : doc.at("traceEvents").array) {
+  const json::Value doc = export_and_parse();
+  std::map<int, const json::Value*> outers, inners;
+  for (const json::Value& e : doc.at("traceEvents").array) {
     const int tix = static_cast<int>(e.at("args").at("tix").number);
     if (e.at("name").str == "mt.outer") outers[tix] = &e;
     if (e.at("name").str == "mt.inner") inners[tix] = &e;
@@ -176,7 +174,7 @@ TEST_P(TraceSpansMt, PerThreadNestingAndDistinctTids) {
 
   std::vector<double> tids;
   for (const auto& [tix, outer] : outers) {
-    const jv::Value* inner = inners.at(tix);
+    const json::Value* inner = inners.at(tix);
     // Same thread recorded both; the inner scope is contained in the outer.
     EXPECT_EQ(outer->at("tid").number, inner->at("tid").number);
     EXPECT_LE(outer->at("ts").number, inner->at("ts").number);
@@ -201,7 +199,7 @@ TEST(TraceRing, OverflowDropsOldestAndCountsDrops) {
   EXPECT_EQ(trace::event_count(), 16u);
   EXPECT_EQ(trace::dropped_count(), 24u);
 
-  const jv::Value doc = export_and_parse();
+  const json::Value doc = export_and_parse();
   EXPECT_EQ(doc.at("otherData").at("droppedEvents").number, 24.0);
   const auto& events = doc.at("traceEvents").array;
   ASSERT_EQ(events.size(), 16u);
@@ -244,8 +242,8 @@ TEST(PhaseTimers, ScopedPhaseFeedsTimersAndTrace) {
   EXPECT_GT(delta[part::Phase::kCoarsen], 0.0);
   EXPECT_EQ(delta[part::Phase::kInitial], 0.0);
 
-  const jv::Value doc = export_and_parse();
-  const jv::Value* span = find_event(doc, "coarsen");
+  const json::Value doc = export_and_parse();
+  const json::Value* span = find_event(doc, "coarsen");
   ASSERT_NE(span, nullptr);
   EXPECT_EQ(span->at("cat").str, "rb.phase");
   EXPECT_EQ(span->at("args").at("level").number, 3.0);
@@ -279,10 +277,10 @@ TEST(ScopedCapture, WritesPipelineTraceAndRestoresState) {
   ASSERT_TRUE(in.good());
   std::stringstream buf;
   buf << in.rdbuf();
-  const jv::Value doc = jv::parse(buf.str());
+  const json::Value doc = json::parse(buf.str());
 
   std::map<std::string, int> byName;
-  for (const jv::Value& e : doc.at("traceEvents").array) ++byName[e.at("name").str];
+  for (const json::Value& e : doc.at("traceEvents").array) ++byName[e.at("name").str];
   EXPECT_GT(byName["hg.partition"], 0);
   EXPECT_GT(byName["rb.node"], 0);
   EXPECT_GT(byName["coarsen"], 0) << "phase spans missing";
@@ -304,11 +302,11 @@ TEST(Metrics, RegistryJsonRoundTrip) {
 
   std::ostringstream os;
   reg.write_json(os);
-  const jv::Value doc = jv::parse(os.str());
+  const json::Value doc = json::parse(os.str());
 
   EXPECT_EQ(doc.at("counters").at("a.count").number, 7.0);
   EXPECT_EQ(doc.at("gauges").at("b.gauge").number, -17.0);
-  const jv::Value& hist = doc.at("histograms").at("c.hist");
+  const json::Value& hist = doc.at("histograms").at("c.hist");
   ASSERT_EQ(hist.at("bounds").array.size(), 2u);
   ASSERT_EQ(hist.at("counts").array.size(), 3u);
   EXPECT_EQ(hist.at("counts").array[0].number, 1.0);

@@ -408,15 +408,6 @@ TEST(Timer, MonotoneNonNegative) {
   EXPECT_GE(b, a);
 }
 
-TEST(Timer, AccumulatorMean) {
-  Accumulator acc;
-  acc.add(1.0);
-  acc.add(3.0);
-  EXPECT_DOUBLE_EQ(acc.total(), 4.0);
-  EXPECT_EQ(acc.count(), 2);
-  EXPECT_DOUBLE_EQ(acc.mean(), 2.0);
-}
-
 // ----------------------------------------------- TaskGroup exceptions ----
 
 TEST(TaskGroup, SingleExceptionRethrownUnchanged) {
