@@ -101,7 +101,8 @@ int usage() {
                "            [--threads T] [--balance-vectors] [--strict] [--json]\n"
                "            [--fault-spec SPEC] [--timeout-ms MS] [--no-degrade]\n"
                "            [--out d.decomp]\n"
-               "            (--method other than multilevel needs --model finegrain)\n"
+               "            (the matrix must be square and 1 <= K <= 4096, else exit 2;\n"
+               "             --method other than multilevel needs --model finegrain)\n"
                "  simulate <m.mtx> <d.decomp> [--reps R] [--threads T]\n"
                "            [--timeout-ms MS]\n"
                "  spgemm <a.mtx> [b.mtx | --b-matrix b.mtx] --k K [--eps E] [--seed N]\n"
@@ -191,13 +192,20 @@ int cmd_stats(const ArgParser& args) {
 int cmd_partition(const ArgParser& args, report::Builder& rep) {
   if (args.positional().size() < 2) return usage();
   WallTimer totalTimer;  // whole command: read + model build + partition + analysis
+  // Checked before any work: the volume analysis that follows the partition
+  // cannot take more than comm::kMaxProcs processors.
+  const long kArg = args.flag_long("k", 16);
+  if (kArg < 1 || kArg > comm::kMaxProcs) {
+    std::fprintf(stderr, "partition: --k must be in [1, %d]\n", static_cast<int>(comm::kMaxProcs));
+    return 2;
+  }
+  const auto k = static_cast<idx_t>(kArg);
   const sparse::Csr a = sparse::read_matrix_market_file(args.positional()[1]);
   if (!a.is_square()) {
     std::fprintf(stderr, "partition: matrix must be square\n");
-    return 1;
+    return 2;
   }
   const std::string modelName = args.flag("model").value_or("finegrain");
-  const auto k = static_cast<idx_t>(args.flag_long("k", 16));
   part::PartitionConfig cfg;
   cfg.seed = static_cast<std::uint64_t>(args.flag_long("seed", 1));
   if (const auto eps = args.flag("eps")) cfg.epsilon = std::stod(*eps);

@@ -26,12 +26,16 @@ FGHP_THREADS=8 ./build-tsan/tests/test_fastpart
 # (two gathered input spaces, retry/fallback ladder) under TSan.
 ./build-tsan/tests/test_spgemm
 
-echo "--- Address/UB sanitizers: Matrix Market reader + compiled image ---"
+echo "--- Address/UB sanitizers: file readers + compiled image ---"
 cmake -B build-asan -G Ninja -DFGHP_SANITIZE=address,undefined \
       -DFGHP_BUILD_BENCH=OFF -DFGHP_BUILD_EXAMPLES=ON > /dev/null
-cmake --build build-asan --target test_mmio test_sparse test_fault test_errors \
-      test_compiled fghp_tool
+cmake --build build-asan --target test_mmio test_decomp_io test_json test_sparse test_fault \
+      test_errors test_compiled fghp_tool
 ./build-asan/tests/test_mmio
+# Header counts and number spellings come from outside the program: a
+# declared count must never reach an allocation before its entries are read.
+./build-asan/tests/test_decomp_io
+./build-asan/tests/test_json
 ./build-asan/tests/test_sparse
 ./build-asan/tests/test_fault
 ./build-asan/tests/test_errors

@@ -28,7 +28,7 @@ std::vector<std::vector<idx_t>> owner_sets(idx_t numGroups, const std::vector<id
 
 CommStats analyze(const sparse::Csr& a, const model::Decomposition& d) {
   model::validate(a, d);
-  FGHP_REQUIRE(d.numProcs <= 4096, "analyze supports at most 4096 processors");
+  FGHP_REQUIRE(d.numProcs <= kMaxProcs, "analyze supports at most 4096 processors");
   const idx_t K = d.numProcs;
   const idx_t n = a.num_rows();
 
@@ -54,7 +54,7 @@ CommStats analyze(const sparse::Csr& a, const model::Decomposition& d) {
   const auto colProcs = owner_sets(a.num_cols(), colOf, d.nnzOwner);
   const auto rowProcs = owner_sets(n, rowOf, d.nnzOwner);
 
-  // Dense per-phase message matrices (K <= 4096 => at most 16M bytes each).
+  // Dense per-phase message matrices (K <= kMaxProcs => at most 16M bytes each).
   std::vector<char> expandMsg(static_cast<std::size_t>(K) * static_cast<std::size_t>(K), 0);
   std::vector<char> foldMsg(static_cast<std::size_t>(K) * static_cast<std::size_t>(K), 0);
   auto at = [K](std::vector<char>& m, idx_t src, idx_t dst) -> char& {

@@ -48,8 +48,11 @@ struct CommStats {
   }
 };
 
-/// Analyzes the decomposition. Requires numProcs <= 4096 (dense message
-/// matrices are used internally).
+/// Largest processor count analyze() supports: it keeps dense K x K
+/// per-phase message matrices (at most 16M bytes each).
+inline constexpr idx_t kMaxProcs = 4096;
+
+/// Analyzes the decomposition. Requires numProcs <= kMaxProcs.
 CommStats analyze(const sparse::Csr& a, const model::Decomposition& d);
 
 }  // namespace fghp::comm

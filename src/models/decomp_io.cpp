@@ -107,7 +107,8 @@ Decomposition read_decomposition(std::istream& in, const std::string& path) {
     std::string tag;
     if (!(hdr >> tag >> z) || tag != "nnz" || z < 0) fail(path, lineNo, "bad nnz line");
   }
-  d.nnzOwner.reserve(static_cast<std::size_t>(z));
+  // No reserve from the declared counts: they are untrusted until the
+  // entries are actually read.
   for (long e = 0; e < z; ++e) {
     std::istringstream es(next_line());
     long p;
@@ -120,8 +121,6 @@ Decomposition read_decomposition(std::istream& in, const std::string& path) {
     std::string tag;
     if (!(hdr >> tag >> m) || tag != "vec" || m < 0) fail(path, lineNo, "bad vec line");
   }
-  d.xOwner.reserve(static_cast<std::size_t>(m));
-  d.yOwner.reserve(static_cast<std::size_t>(m));
   for (long j = 0; j < m; ++j) {
     std::istringstream vs(next_line());
     long x, y;

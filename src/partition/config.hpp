@@ -1,30 +1,18 @@
 // Shared configuration for the multilevel partitioners (hypergraph and
 // graph). Defaults reproduce the paper's setup: eps = 0.03 (the "< 3%
-// imbalance" of §4), connectivity-minus-one objective, PaToH-style
-// agglomerative coarsening.
+// imbalance" of §4). The hypergraph partitioner always minimizes the
+// connectivity-minus-one cutsize of eq. (3), which equals the communication
+// volume; the tuning values no caller changes are constants in
+// partition/multilevel.hpp.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
-#include "hypergraph/metrics.hpp"
 #include "util/cancel.hpp"
 #include "util/types.hpp"
 
 namespace fghp::part {
-
-enum class Coarsening {
-  kHeavyConnectivity,  ///< HCM: pairwise matching by shared-net cost
-  kAgglomerative,      ///< HCC: absorption clustering (PaToH default)
-  kRandomMatching,     ///< ablation baseline
-  kNone,               ///< ablation baseline: flat (no multilevel)
-};
-
-enum class InitialAlgo {
-  kGreedyGrowing,  ///< GHG: grow one side by best-gain moves from a seed
-  kRandom,         ///< random balanced assignment (+ FM)
-  kMixed,          ///< alternate both across the initial runs (default)
-};
 
 enum class ValidateLevel {
   kNone,    ///< trust the caller; only debug asserts
@@ -66,53 +54,25 @@ struct PartitionConfig {
   /// Master seed; every run is deterministic in (inputs, seed).
   std::uint64_t seed = 1;
 
-  /// Objective: eq. (3) connectivity-1 (the paper) or eq. (2) cut-net.
-  hg::CutMetric metric = hg::CutMetric::kConnectivity;
-
   /// Which fine-grain engine runs: the multilevel stack (paper quality), the
   /// geometric fast path, or geometric + one FM sweep.
   /// Quality-vs-time tradeoffs are measured by bench/bench_pareto.
   PartitionMethod method = PartitionMethod::kMultilevel;
 
-  /// HCM measures best on fine-grain hypergraphs (ablation A1); the
-  /// agglomerative policy trades a little quality for fewer levels.
-  Coarsening coarsening = Coarsening::kHeavyConnectivity;
-
-  /// Coarsening stops when this many vertices remain...
-  idx_t coarsenTo = 100;
-  /// ...or a level shrinks by less than this factor.
-  double minReductionFactor = 0.95;
+  /// Coarsening stops after this many levels at most (see also kCoarsenTo
+  /// and kMinReductionFactor in partition/multilevel.hpp).
   idx_t maxCoarsenLevels = 64;
 
-  /// Nets larger than this are ignored while scoring mates (0 = auto:
-  /// max(64, |V|/20)). Huge nets are almost always cut anyway and scoring
-  /// through them costs O(|net|^2) per level.
-  idx_t maxNetSizeForMatching = 0;
-
-  /// Number of initial-partitioning attempts at the coarsest level.
+  /// Number of initial-partitioning attempts at the coarsest level; they
+  /// alternate greedy growing and random bisection, each FM-refined.
   idx_t numInitialRuns = 8;
-  InitialAlgo initial = InitialAlgo::kMixed;
 
-  /// FM refinement: maximum passes per level and the early-exit window
-  /// (abort a pass after this many consecutive moves without a new best,
-  /// scaled by vertex count but never below minFmMoves).
+  /// FM refinement: maximum passes per level.
   idx_t maxFmPasses = 3;
-  double fmEarlyExitFraction = 0.25;
-  idx_t minFmMoves = 128;
 
-  /// Greedy direct K-way polish after recursive bisection (extension over
-  /// the paper's PaToH pipeline; ablation A2 measures its effect).
-  bool kwayRefine = true;
+  /// Passes of the greedy direct K-way polish that follows recursive
+  /// bisection whenever K > 2 (an extension over the paper's PaToH pipeline).
   idx_t kwayRefinePasses = 2;
-
-  /// Iterated V-cycles after recursive bisection: restricted coarsening +
-  /// multilevel K-way refinement (see partition/hg/vcycle.hpp). Each cycle
-  /// stops early when it yields no improvement.
-  idx_t vcycles = 2;
-
-  /// Independent full restarts of the hypergraph partitioner (different
-  /// derived seeds); the best cutsize wins. 1 = single run (default).
-  idx_t numRestarts = 1;
 
   /// Threads for task-parallel recursive bisection. 0 = auto (FGHP_THREADS
   /// if set, else hardware concurrency); 1 = the serial code path. The
@@ -149,12 +109,6 @@ struct PartitionConfig {
   /// Fault-injection spec installed for this run (see util/fault.hpp);
   /// empty = leave the process-global spec (FGHP_FAULT_SPEC) in place.
   std::string faultSpec;
-
-  /// When non-empty, tracing is enabled for this partitioner run and a
-  /// Chrome trace-event JSON file is written here when the run finishes
-  /// (see util/trace.hpp). Empty = leave process-global tracing (FGHP_TRACE)
-  /// in charge.
-  std::string traceOut;
 };
 
 }  // namespace fghp::part

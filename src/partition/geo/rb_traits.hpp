@@ -34,7 +34,7 @@ struct GeoRbTraits {
   }
 
   static RbSide<GeoRbTraits> extract_side(const Problem& pts, const Partition& bisection,
-                                          idx_t side, const PartitionConfig&) {
+                                          idx_t side) {
     geo::GeoSideExtract e = geo::extract_side(pts, bisection, side);
     return {std::move(e.sub), std::move(e.toParent)};
   }

@@ -3,6 +3,7 @@
 #include "partition/gp/ginitial.hpp"
 #include "partition/gp/grefine.hpp"
 #include "partition/gp/match.hpp"
+#include "partition/multilevel.hpp"
 #include "partition/phase_timers.hpp"
 #include "util/cancel.hpp"
 #include "util/fault.hpp"
@@ -19,19 +20,19 @@ gp::GPartition multilevel_gbisect(const gp::Graph& g, const std::array<weight_t,
   // --- Coarsening phase ---------------------------------------------------
   std::vector<gpm::GCoarseLevel> levels;
   const gp::Graph* cur = &g;
-  if (cfg.coarsening != Coarsening::kNone) {
+  {
     ScopedPhase phase(Phase::kCoarsen);
     for (idx_t lvl = 0; lvl < cfg.maxCoarsenLevels; ++lvl) {
-      if (cur->num_vertices() <= cfg.coarsenTo) break;
+      if (cur->num_vertices() <= kCoarsenTo) break;
       // Per-coarsen-level check-point; a deadline thrown here is converted
       // into a greedy degradation by the RB driver's recovery ladder.
       cancel::check_point(cfg.cancel, "coarsen.level", nullptr, lvl + 1);
       trace::TraceScope lvlSpan("rb", "coarsen.level", "level", lvl, "verts",
                                 cur->num_vertices());
-      gpm::GCoarseLevel next = gpm::coarsen_one_level(*cur, cfg, rng);
+      gpm::GCoarseLevel next = gpm::coarsen_one_level(*cur, rng);
       const double reduction = static_cast<double>(next.coarse.num_vertices()) /
                                static_cast<double>(cur->num_vertices());
-      if (reduction > cfg.minReductionFactor) break;  // stagnated
+      if (reduction > kMinReductionFactor) break;  // stagnated
       levels.push_back(std::move(next));
       cur = &levels.back().coarse;
     }

@@ -74,9 +74,9 @@ gp::GPartition initial_gbisection(const gp::Graph& g, const std::array<weight_t,
 
   const idx_t runs = std::max<idx_t>(1, cfg.numInitialRuns);
   for (idx_t r = 0; r < runs; ++r) {
-    const bool useGgg = cfg.initial == InitialAlgo::kGreedyGrowing ||
-                        (cfg.initial == InitialAlgo::kMixed && r % 2 == 0);
-    gp::GPartition p = useGgg ? ggg_bisection(g, target, rng) : random_gbisection(g, target, rng);
+    // Even runs grow greedily, odd runs start from a random split.
+    gp::GPartition p =
+        r % 2 == 0 ? ggg_bisection(g, target, rng) : random_gbisection(g, target, rng);
     const weight_t cut = fm.refine(g, p, maxWeight, rng);
     const bool feasible = p.part_weight(0) <= maxWeight[0] && p.part_weight(1) <= maxWeight[1];
     if ((feasible && !bestFeasible) || (feasible == bestFeasible && cut < bestCut)) {

@@ -64,11 +64,9 @@ GpResult partition_graph(const gp::Graph& g, idx_t K, const PartitionConfig& cfg
   WallTimer timer;
 
   // Scope the configured fault spec to this call; an empty spec leaves any
-  // process-global (FGHP_FAULT_SPEC) installation untouched. The trace
-  // capture follows the same contract for cfg.traceOut.
+  // process-global (FGHP_FAULT_SPEC) installation untouched.
   std::optional<fault::ScopedSpec> faultScope;
   if (!cfg.faultSpec.empty()) faultScope.emplace(cfg.faultSpec);
-  trace::ScopedCapture traceScope(cfg.traceOut);
   trace::TraceScope span("partition", "gp.partition", "k", K, "verts",
                          g.num_vertices());
 
@@ -93,7 +91,7 @@ GpResult partition_graph(const gp::Graph& g, idx_t K, const PartitionConfig& cfg
   const bool skipPolish =
       cfg.degradeOnDeadline &&
       cancel::poll(cfg.cancel) == cancel::Status::kDeadlineExpired;
-  if (cfg.kwayRefine && K > 2 && !skipPolish) {
+  if (K > 2 && !skipPolish) {
     gpk::gkway_refine(g, rb.partition, cfg, rng);
     if (strict) gp::validate_partition_or_throw(g, rb.partition, "kway-refine");
   }

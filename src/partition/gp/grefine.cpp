@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "partition/multilevel.hpp"
 #include "util/cancel.hpp"
 
 namespace fghp::part::gpr {
@@ -76,8 +77,8 @@ weight_t GraphFM::pass(const gp::Graph& g, gp::GPartition& p,
   }
 
   const auto earlyLimit = std::max<std::size_t>(
-      static_cast<std::size_t>(cfg_.minFmMoves),
-      static_cast<std::size_t>(cfg_.fmEarlyExitFraction *
+      static_cast<std::size_t>(kMinFmMoves),
+      static_cast<std::size_t>(kFmEarlyExitFraction *
                                static_cast<double>(g.num_vertices())));
 
   std::vector<idx_t> moves;

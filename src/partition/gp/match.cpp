@@ -1,10 +1,6 @@
 #include "partition/gp/match.hpp"
 
-#include <atomic>
-#include <numeric>
 #include <tuple>
-
-#include "util/error.hpp"
 
 namespace fghp::part::gpm {
 
@@ -20,26 +16,6 @@ ClusterMap match_heavy_edge(const gp::Graph& g, Rng& rng) {
       if (cluster[static_cast<std::size_t>(a.to)] == kInvalidIdx && a.weight > best) {
         best = a.weight;
         mate = a.to;
-      }
-    }
-    const idx_t id = nextId++;
-    cluster[static_cast<std::size_t>(v)] = id;
-    if (mate != kInvalidIdx) cluster[static_cast<std::size_t>(mate)] = id;
-  }
-  return cluster;
-}
-
-ClusterMap match_random(const gp::Graph& g, Rng& rng) {
-  const idx_t n = g.num_vertices();
-  ClusterMap cluster(static_cast<std::size_t>(n), kInvalidIdx);
-  idx_t nextId = 0;
-  for (idx_t v : rng.permutation(n)) {
-    if (cluster[static_cast<std::size_t>(v)] != kInvalidIdx) continue;
-    idx_t mate = kInvalidIdx;
-    for (const gp::Adj& a : g.neighbors(v)) {
-      if (cluster[static_cast<std::size_t>(a.to)] == kInvalidIdx) {
-        mate = a.to;
-        break;
       }
     }
     const idx_t id = nextId++;
@@ -84,33 +60,8 @@ GCoarseLevel contract_graph(const gp::Graph& fine, const ClusterMap& clusters) {
   return level;
 }
 
-GCoarseLevel coarsen_one_level(const gp::Graph& fine, const PartitionConfig& cfg, Rng& rng) {
-  ClusterMap clusters;
-  switch (cfg.coarsening) {
-    case Coarsening::kHeavyConnectivity:
-      clusters = match_heavy_edge(fine, rng);
-      break;
-    case Coarsening::kAgglomerative: {
-      // The graph baseline has no absorption clustering; heavy-edge matching
-      // is its closest analog. Warn once so the substitution is visible.
-      static std::atomic<bool> warned{false};
-      if (!warned.exchange(true, std::memory_order_relaxed)) {
-        push_warning(
-            "graph coarsening has no agglomerative clustering; "
-            "substituting heavy-edge matching");
-      }
-      clusters = match_heavy_edge(fine, rng);
-      break;
-    }
-    case Coarsening::kRandomMatching:
-      clusters = match_random(fine, rng);
-      break;
-    case Coarsening::kNone:
-      clusters.resize(static_cast<std::size_t>(fine.num_vertices()));
-      std::iota(clusters.begin(), clusters.end(), idx_t{0});
-      break;
-  }
-  return contract_graph(fine, clusters);
+GCoarseLevel coarsen_one_level(const gp::Graph& fine, Rng& rng) {
+  return contract_graph(fine, match_heavy_edge(fine, rng));
 }
 
 }  // namespace fghp::part::gpm

@@ -1,11 +1,9 @@
-// Graph coarsening: heavy-edge / random matching and contraction
-// (MeTiS-style).
+// Graph coarsening: heavy-edge matching and contraction (MeTiS-style).
 #pragma once
 
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "partition/config.hpp"
 #include "util/rng.hpp"
 
 namespace fghp::part::gpm {
@@ -17,9 +15,6 @@ using ClusterMap = std::vector<idx_t>;
 /// neighbor across its heaviest edge.
 ClusterMap match_heavy_edge(const gp::Graph& g, Rng& rng);
 
-/// Random maximal matching (ablation baseline).
-ClusterMap match_random(const gp::Graph& g, Rng& rng);
-
 struct GCoarseLevel {
   gp::Graph coarse;
   std::vector<idx_t> fineToCoarse;
@@ -29,8 +24,7 @@ struct GCoarseLevel {
 /// self loops dropped.
 GCoarseLevel contract_graph(const gp::Graph& fine, const ClusterMap& clusters);
 
-/// One matching + contraction round per cfg.coarsening (agglomerative maps
-/// to heavy-edge for graphs).
-GCoarseLevel coarsen_one_level(const gp::Graph& fine, const PartitionConfig& cfg, Rng& rng);
+/// One heavy-edge matching + contraction round.
+GCoarseLevel coarsen_one_level(const gp::Graph& fine, Rng& rng);
 
 }  // namespace fghp::part::gpm

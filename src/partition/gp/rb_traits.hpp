@@ -43,7 +43,7 @@ struct GpRbTraits {
   }
 
   static RbSide<GpRbTraits> extract_side(const Problem& g, const Partition& bisection,
-                                         idx_t side, const PartitionConfig&) {
+                                         idx_t side) {
     GraphSide e = extract_graph_side(g, bisection, side);
     return {std::move(e.sub), std::move(e.toParent)};
   }

@@ -5,6 +5,7 @@
 #include "partition/hg/coarsen.hpp"
 #include "partition/hg/initial.hpp"
 #include "partition/hg/refine.hpp"
+#include "partition/multilevel.hpp"
 #include "partition/phase_timers.hpp"
 #include "util/cancel.hpp"
 #include "util/fault.hpp"
@@ -27,19 +28,19 @@ hg::Partition multilevel_bisect(const hg::Hypergraph& h, const std::array<weight
   std::vector<hgc::CoarseLevel> levels;
   const hg::Hypergraph* cur = &h;
   const hgc::FixedSides* curFixed = &fixed;
-  if (cfg.coarsening != Coarsening::kNone) {
+  {
     ScopedPhase phase(Phase::kCoarsen);
     for (idx_t lvl = 0; lvl < cfg.maxCoarsenLevels; ++lvl) {
-      if (cur->num_vertices() <= cfg.coarsenTo) break;
+      if (cur->num_vertices() <= kCoarsenTo) break;
       // Per-coarsen-level check-point; a deadline thrown here is converted
       // into a greedy degradation by the RB driver's recovery ladder.
       cancel::check_point(cfg.cancel, "coarsen.level", nullptr, lvl + 1);
       trace::TraceScope lvlSpan("rb", "coarsen.level", "level", lvl, "verts",
                                 cur->num_vertices());
-      hgc::CoarseLevel next = hgc::coarsen_one_level(*cur, cfg, rng, *curFixed);
+      hgc::CoarseLevel next = hgc::coarsen_one_level(*cur, rng, *curFixed);
       const double reduction = static_cast<double>(next.coarse.num_vertices()) /
                                static_cast<double>(cur->num_vertices());
-      if (reduction > cfg.minReductionFactor) break;  // stagnated
+      if (reduction > kMinReductionFactor) break;  // stagnated
       levels.push_back(std::move(next));
       cur = &levels.back().coarse;
       curFixed = &levels.back().coarseFixed;

@@ -1,33 +1,10 @@
 #include "partition/hg/coarsen.hpp"
 
 #include <algorithm>
-#include <numeric>
-
-#include "util/sparse_acc.hpp"
 
 namespace fghp::part::hgc {
 
-namespace {
-
-/// Scores all unvisited co-pins of v through nets no larger than maxNetSize.
-/// scoreFn(netCost, netSize) defines the contribution per shared net.
-template <typename ScoreFn>
-void score_neighbors(const hg::Hypergraph& h, idx_t v, idx_t maxNetSize,
-                     SparseAccumulator<double>& acc, ScoreFn scoreFn) {
-  for (idx_t n : h.nets(v)) {
-    const idx_t sz = h.net_size(n);
-    if (sz < 2 || sz > maxNetSize) continue;
-    const double s = scoreFn(static_cast<double>(h.net_cost(n)), sz);
-    for (idx_t u : h.pins(n)) {
-      if (u != v) acc.add(u, s);
-    }
-  }
-}
-
-}  // namespace
-
-idx_t effective_max_net_size(const hg::Hypergraph& h, const PartitionConfig& cfg) {
-  if (cfg.maxNetSizeForMatching > 0) return cfg.maxNetSizeForMatching;
+idx_t effective_max_net_size(const hg::Hypergraph& h) {
   // Scoring mates costs O(sum of |net|^2) per level; nets much larger than
   // average are almost always cut anyway, so skipping them trades no
   // measurable quality for an order of magnitude of coarsening time on
@@ -37,148 +14,14 @@ idx_t effective_max_net_size(const hg::Hypergraph& h, const PartitionConfig& cfg
   return std::max<idx_t>(64, 3 * avg);
 }
 
-namespace {
-
-/// True when u may join a cluster containing v (never merges two vertices
-/// pinned to different sides).
-inline bool sides_compatible(const FixedSides& fixed, idx_t v, idx_t u) {
-  if (fixed.empty()) return true;
-  const signed char sv = fixed[static_cast<std::size_t>(v)];
-  const signed char su = fixed[static_cast<std::size_t>(u)];
-  return sv < 0 || su < 0 || sv == su;
-}
-
-}  // namespace
-
 ClusterMap cluster_hcm(const hg::Hypergraph& h, Rng& rng, idx_t maxNetSize,
                        const FixedSides& fixed) {
-  const idx_t n = h.num_vertices();
-  ClusterMap cluster(static_cast<std::size_t>(n), kInvalidIdx);
-  SparseAccumulator<double> score(n);
-  idx_t nextId = 0;
-
-  for (idx_t v : rng.permutation(n)) {
-    if (cluster[static_cast<std::size_t>(v)] != kInvalidIdx) continue;
-    score.clear();
-    score_neighbors(h, v, maxNetSize, score,
-                    [](double c, idx_t) { return c; });  // HCM: plain connectivity
-    idx_t best = kInvalidIdx;
-    double bestScore = 0.0;
-    for (idx_t u : score.keys()) {
-      if (cluster[static_cast<std::size_t>(u)] != kInvalidIdx) continue;
-      if (!sides_compatible(fixed, v, u)) continue;
-      const double s = score.value(u);
-      if (s > bestScore) {
-        bestScore = s;
-        best = u;
-      }
-    }
-    const idx_t id = nextId++;
-    cluster[static_cast<std::size_t>(v)] = id;
-    if (best != kInvalidIdx) cluster[static_cast<std::size_t>(best)] = id;
-  }
-  return cluster;
-}
-
-ClusterMap cluster_agglomerative(const hg::Hypergraph& h, Rng& rng, idx_t maxNetSize,
-                                 weight_t maxClusterWeight, const FixedSides& fixed) {
-  const idx_t n = h.num_vertices();
-  ClusterMap cluster(static_cast<std::size_t>(n), kInvalidIdx);
-  std::vector<weight_t> clusterWeight;
-  std::vector<signed char> clusterSide;  // -1 free, else pinned side
-  SparseAccumulator<double> score(n);
-  SparseAccumulator<double> clusterScore(n);  // cluster ids are < n
-
-  for (idx_t v : rng.permutation(n)) {
-    if (cluster[static_cast<std::size_t>(v)] != kInvalidIdx) continue;
-    const signed char sideV = fixed.empty() ? -1 : fixed[static_cast<std::size_t>(v)];
-    score.clear();
-    // Absorption score: a net shared with w pins contributes c/(|n|-1),
-    // favoring small nets that a merge can fully absorb.
-    score_neighbors(h, v, maxNetSize, score, [](double c, idx_t sz) {
-      return c / static_cast<double>(sz - 1);
-    });
-
-    // Aggregate per candidate cluster (unclustered neighbors count as
-    // prospective singleton clusters keyed by their own id + n offset trick:
-    // we keep two accumulators instead to avoid id aliasing).
-    clusterScore.clear();
-    idx_t bestVertex = kInvalidIdx;  // best unclustered mate
-    double bestVertexScore = 0.0;
-    const weight_t wv = h.vertex_weight(v);
-    for (idx_t u : score.keys()) {
-      const double s = score.value(u);
-      const idx_t cu = cluster[static_cast<std::size_t>(u)];
-      if (cu == kInvalidIdx) {
-        if (s > bestVertexScore && wv + h.vertex_weight(u) <= maxClusterWeight &&
-            sides_compatible(fixed, v, u)) {
-          bestVertexScore = s;
-          bestVertex = u;
-        }
-      } else {
-        if (sideV >= 0 && clusterSide[static_cast<std::size_t>(cu)] >= 0 &&
-            clusterSide[static_cast<std::size_t>(cu)] != sideV) {
-          continue;
-        }
-        clusterScore.add(cu, s);
-      }
-    }
-    idx_t bestCluster = kInvalidIdx;
-    double bestClusterScore = 0.0;
-    for (idx_t c : clusterScore.keys()) {
-      const double s = clusterScore.value(c);
-      if (s > bestClusterScore &&
-          clusterWeight[static_cast<std::size_t>(c)] + wv <= maxClusterWeight) {
-        bestClusterScore = s;
-        bestCluster = c;
-      }
-    }
-
-    if (bestCluster != kInvalidIdx && bestClusterScore >= bestVertexScore) {
-      cluster[static_cast<std::size_t>(v)] = bestCluster;
-      clusterWeight[static_cast<std::size_t>(bestCluster)] += wv;
-      if (sideV >= 0) clusterSide[static_cast<std::size_t>(bestCluster)] = sideV;
-    } else if (bestVertex != kInvalidIdx) {
-      const idx_t id = static_cast<idx_t>(clusterWeight.size());
-      clusterWeight.push_back(wv + h.vertex_weight(bestVertex));
-      const signed char sideU =
-          fixed.empty() ? -1 : fixed[static_cast<std::size_t>(bestVertex)];
-      clusterSide.push_back(sideV >= 0 ? sideV : sideU);
-      cluster[static_cast<std::size_t>(v)] = id;
-      cluster[static_cast<std::size_t>(bestVertex)] = id;
-    } else {
-      const idx_t id = static_cast<idx_t>(clusterWeight.size());
-      clusterWeight.push_back(wv);
-      clusterSide.push_back(sideV);
-      cluster[static_cast<std::size_t>(v)] = id;
-    }
-  }
-  return cluster;
-}
-
-ClusterMap cluster_random(const hg::Hypergraph& h, Rng& rng, const FixedSides& fixed) {
-  const idx_t n = h.num_vertices();
-  ClusterMap cluster(static_cast<std::size_t>(n), kInvalidIdx);
-  idx_t nextId = 0;
-  for (idx_t v : rng.permutation(n)) {
-    if (cluster[static_cast<std::size_t>(v)] != kInvalidIdx) continue;
-    // First unmatched compatible co-pin through any net wins.
-    idx_t mate = kInvalidIdx;
-    for (idx_t net : h.nets(v)) {
-      for (idx_t u : h.pins(net)) {
-        if (u != v && cluster[static_cast<std::size_t>(u)] == kInvalidIdx &&
-            sides_compatible(fixed, v, u)) {
-          mate = u;
-          break;
-        }
-      }
-      if (mate != kInvalidIdx) break;
-    }
-    const idx_t id = nextId++;
-    cluster[static_cast<std::size_t>(v)] = id;
-    if (mate != kInvalidIdx) cluster[static_cast<std::size_t>(mate)] = id;
-  }
-  return cluster;
+  return cluster_hcm_filtered(h, rng, maxNetSize, [&fixed](idx_t v, idx_t u) {
+    if (fixed.empty()) return true;
+    const signed char sv = fixed[static_cast<std::size_t>(v)];
+    const signed char su = fixed[static_cast<std::size_t>(u)];
+    return sv < 0 || su < 0 || sv == su;
+  });
 }
 
 CoarseLevel contract(const hg::Hypergraph& fine, const ClusterMap& clusters,
@@ -299,38 +142,8 @@ CoarseLevel contract(const hg::Hypergraph& fine, const ClusterMap& clusters,
   return level;
 }
 
-CoarseLevel coarsen_one_level(const hg::Hypergraph& fine, const PartitionConfig& cfg, Rng& rng,
-                              const FixedSides& fixed) {
-  const idx_t maxNet = effective_max_net_size(fine, cfg);
-  ClusterMap clusters;
-  switch (cfg.coarsening) {
-    case Coarsening::kHeavyConnectivity:
-      clusters = cluster_hcm(fine, rng, maxNet, fixed);
-      break;
-    case Coarsening::kAgglomerative: {
-      // Cap clusters at a few times the average vertex weight so each level
-      // shrinks gradually (~2-4x): a single level that collapses the
-      // hypergraph by 25x leaves the uncoarsening phase no intermediate
-      // levels to refine on and costs far more cut than it saves in time.
-      const weight_t avg = std::max<weight_t>(
-          1, fine.total_vertex_weight() / std::max<idx_t>(1, fine.num_vertices()));
-      weight_t maxVw = 0;
-      for (idx_t v = 0; v < fine.num_vertices(); ++v)
-        maxVw = std::max(maxVw, fine.vertex_weight(v));
-      const weight_t cap = std::max(maxVw, 4 * avg);
-      clusters = cluster_agglomerative(fine, rng, maxNet, cap, fixed);
-      break;
-    }
-    case Coarsening::kRandomMatching:
-      clusters = cluster_random(fine, rng, fixed);
-      break;
-    case Coarsening::kNone: {
-      clusters.resize(static_cast<std::size_t>(fine.num_vertices()));
-      std::iota(clusters.begin(), clusters.end(), idx_t{0});
-      break;
-    }
-  }
-  return contract(fine, clusters, fixed);
+CoarseLevel coarsen_one_level(const hg::Hypergraph& fine, Rng& rng, const FixedSides& fixed) {
+  return contract(fine, cluster_hcm(fine, rng, effective_max_net_size(fine), fixed), fixed);
 }
 
 }  // namespace fghp::part::hgc

@@ -1,6 +1,5 @@
-// Multilevel coarsening for hypergraphs: vertex clustering (heavy
-// connectivity matching, agglomerative absorption clustering, random
-// matching) followed by contraction with single-pin-net removal and
+// Multilevel coarsening for hypergraphs: heavy connectivity matching
+// followed by contraction with single-pin-net removal and
 // identical-net merging (the PaToH memory/speed trick that matters most on
 // fine-grain hypergraphs, where many rows/columns share sparsity patterns).
 #pragma once
@@ -8,9 +7,9 @@
 #include <vector>
 
 #include "hypergraph/hypergraph.hpp"
-#include "partition/config.hpp"
 #include "partition/multilevel.hpp"
 #include "util/rng.hpp"
+#include "util/sparse_acc.hpp"
 
 namespace fghp::part::hgc {
 
@@ -22,22 +21,51 @@ using ClusterMap = std::vector<idx_t>;
 /// Shared with the recursive-bisection engine (see partition/multilevel.hpp).
 using FixedSides = part::FixedSides;
 
-/// Heavy Connectivity Matching: pairs each unmatched vertex with the
-/// unmatched neighbor sharing the largest total cost of common nets.
-/// Nets larger than maxNetSize are skipped while scoring. Vertices fixed to
-/// different sides never merge.
+/// Heavy Connectivity Matching under a merge filter: visits the vertices in
+/// random order and pairs each unmatched v with the unmatched u,
+/// mayMerge(v, u), sharing the largest total cost of common nets. Nets
+/// larger than maxNetSize are skipped while scoring.
+template <class MayMerge>
+ClusterMap cluster_hcm_filtered(const hg::Hypergraph& h, Rng& rng, idx_t maxNetSize,
+                                MayMerge mayMerge) {
+  const idx_t n = h.num_vertices();
+  ClusterMap cluster(static_cast<std::size_t>(n), kInvalidIdx);
+  SparseAccumulator<double> score(n);
+  idx_t nextId = 0;
+
+  for (idx_t v : rng.permutation(n)) {
+    if (cluster[static_cast<std::size_t>(v)] != kInvalidIdx) continue;
+    score.clear();
+    for (idx_t net : h.nets(v)) {
+      const idx_t sz = h.net_size(net);
+      if (sz < 2 || sz > maxNetSize) continue;
+      const double s = static_cast<double>(h.net_cost(net));
+      for (idx_t u : h.pins(net)) {
+        if (u != v) score.add(u, s);
+      }
+    }
+    idx_t best = kInvalidIdx;
+    double bestScore = 0.0;
+    for (idx_t u : score.keys()) {
+      if (cluster[static_cast<std::size_t>(u)] != kInvalidIdx) continue;
+      if (!mayMerge(v, u)) continue;
+      const double s = score.value(u);
+      if (s > bestScore) {
+        bestScore = s;
+        best = u;
+      }
+    }
+    const idx_t id = nextId++;
+    cluster[static_cast<std::size_t>(v)] = id;
+    if (best != kInvalidIdx) cluster[static_cast<std::size_t>(best)] = id;
+  }
+  return cluster;
+}
+
+/// HCM for bisection coarsening: vertices fixed to different sides never
+/// merge.
 ClusterMap cluster_hcm(const hg::Hypergraph& h, Rng& rng, idx_t maxNetSize,
                        const FixedSides& fixed = {});
-
-/// Agglomerative (absorption) clustering: a vertex may join an existing
-/// cluster; candidate scores are sum of c_n / (|n| - 1) over shared nets;
-/// clusters are capped at maxClusterWeight. Fixed-side compatibility as in
-/// cluster_hcm.
-ClusterMap cluster_agglomerative(const hg::Hypergraph& h, Rng& rng, idx_t maxNetSize,
-                                 weight_t maxClusterWeight, const FixedSides& fixed = {});
-
-/// Random maximal matching (ablation baseline).
-ClusterMap cluster_random(const hg::Hypergraph& h, Rng& rng, const FixedSides& fixed = {});
 
 /// One coarsening level.
 struct CoarseLevel {
@@ -54,11 +82,10 @@ struct CoarseLevel {
 CoarseLevel contract(const hg::Hypergraph& fine, const ClusterMap& clusters,
                      const FixedSides& fixed = {});
 
-/// Runs one clustering pass per `cfg` and contracts. Convenience wrapper.
-CoarseLevel coarsen_one_level(const hg::Hypergraph& fine, const PartitionConfig& cfg, Rng& rng,
-                              const FixedSides& fixed = {});
+/// Runs one HCM pass and contracts. Convenience wrapper.
+CoarseLevel coarsen_one_level(const hg::Hypergraph& fine, Rng& rng, const FixedSides& fixed = {});
 
-/// Effective net-size cutoff for matching (resolves the 0 = auto rule).
-idx_t effective_max_net_size(const hg::Hypergraph& h, const PartitionConfig& cfg);
+/// Net-size cutoff for matching: max(64, 3 * average net size).
+idx_t effective_max_net_size(const hg::Hypergraph& h);
 
 }  // namespace fghp::part::hgc

@@ -178,10 +178,9 @@ hg::Partition initial_bisection(const hg::Hypergraph& h, const std::array<weight
 
   const idx_t runs = std::max<idx_t>(1, cfg.numInitialRuns);
   for (idx_t r = 0; r < runs; ++r) {
-    const bool useGhg = cfg.initial == InitialAlgo::kGreedyGrowing ||
-                        (cfg.initial == InitialAlgo::kMixed && r % 2 == 0);
-    hg::Partition p = useGhg ? ghg_bisection(h, target, rng, fixed)
-                             : random_bisection(h, target, rng, fixed);
+    // Even runs grow greedily (GHG), odd runs start from a random split.
+    hg::Partition p = r % 2 == 0 ? ghg_bisection(h, target, rng, fixed)
+                                 : random_bisection(h, target, rng, fixed);
     const weight_t cut = fm.refine(h, p, maxWeight, rng);
     const bool feasible = p.part_weight(0) <= maxWeight[0] && p.part_weight(1) <= maxWeight[1];
     if ((feasible && !bestFeasible) ||

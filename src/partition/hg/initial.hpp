@@ -27,8 +27,8 @@ hg::Partition random_bisection(const hg::Hypergraph& h, const std::array<weight_
 hg::Partition ghg_bisection(const hg::Hypergraph& h, const std::array<weight_t, 2>& target,
                             Rng& rng, const FixedSides& fixed = {});
 
-/// Best of cfg.numInitialRuns attempts (algorithm mix per cfg.initial), each
-/// FM-refined under maxWeight. Feasible beats infeasible; ties by cut.
+/// Best of cfg.numInitialRuns attempts (GHG on even runs, random on odd
+/// runs), each FM-refined under maxWeight. Feasible beats infeasible; ties by cut.
 hg::Partition initial_bisection(const hg::Hypergraph& h, const std::array<weight_t, 2>& target,
                                 const std::array<weight_t, 2>& maxWeight,
                                 const PartitionConfig& cfg, Rng& rng,

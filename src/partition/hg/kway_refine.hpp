@@ -1,6 +1,6 @@
 // Greedy direct K-way refinement under the connectivity-1 objective: a
 // post-pass over recursive bisection (an extension over the paper's PaToH
-// pipeline; ablation A2 quantifies its effect).
+// pipeline).
 //
 // Per net we maintain the multiset of parts its pins touch; the gain of
 // moving v from p to q is +c for every net whose last p-pin leaves and -c

@@ -24,16 +24,15 @@ bool budget_gone(const PartitionConfig& cfg) {
          cancel::poll(cfg.cancel) == cancel::Status::kDeadlineExpired;
 }
 
-/// One full pipeline run: RB, balance repair, K-way polish, V-cycles.
-/// Adds any bisection recoveries taken into `recoveries` and deadline
-/// demotions into `degraded`.
-hg::Partition run_pipeline(const hg::Hypergraph& h, idx_t K, const PartitionConfig& cfg,
-                           Rng& rng, const std::vector<idx_t>& fixedPart,
-                           idx_t& recoveries, idx_t& degraded) {
+/// V-cycles after the K-way polish; each stops early when it yields no
+/// improvement.
+constexpr idx_t kVcycles = 2;
+
+/// The full pipeline: RB, balance repair, K-way polish, V-cycles.
+hgrb::RecursiveResult run_pipeline(const hg::Hypergraph& h, idx_t K, const PartitionConfig& cfg,
+                                   Rng& rng, const std::vector<idx_t>& fixedPart) {
   const bool strict = cfg.validateLevel == ValidateLevel::kStrict;
   hgrb::RecursiveResult rb = hgrb::partition_recursive(h, K, cfg, rng, fixedPart);
-  recoveries += rb.numRecoveries;
-  degraded += rb.numDegraded;
   if (strict) hg::validate_partition_or_throw(h, rb.partition, "recursive-bisection");
   if (K > 1 && !hg::is_balanced(h, rb.partition, cfg.epsilon)) {
     // Integer rounding of per-level tolerances can compound on small
@@ -43,16 +42,14 @@ hg::Partition run_pipeline(const hg::Hypergraph& h, idx_t K, const PartitionConf
     hgk::kway_rebalance(h, rb.partition, cfg.epsilon, rng, fixedPart);
     if (strict) hg::validate_partition_or_throw(h, rb.partition, "rebalance");
   }
-  if (cfg.kwayRefine && K > 2 && cfg.metric == hg::CutMetric::kConnectivity &&
-      !budget_gone(cfg)) {
+  if (K > 2 && !budget_gone(cfg)) {
     hgk::kway_refine(h, rb.partition, cfg, rng, fixedPart);
     if (strict) hg::validate_partition_or_throw(h, rb.partition, "kway-refine");
   }
   // V-cycles move whole clusters, which could smuggle a fixed vertex across
   // parts; run them only on fully free instances.
-  if (K > 1 && cfg.metric == hg::CutMetric::kConnectivity && fixedPart.empty() &&
-      !budget_gone(cfg)) {
-    for (idx_t cycle = 0; cycle < cfg.vcycles; ++cycle) {
+  if (K > 1 && fixedPart.empty() && !budget_gone(cfg)) {
+    for (idx_t cycle = 0; cycle < kVcycles; ++cycle) {
       if (cancel::check_point(cfg.cancel, "vcycle", nullptr, cycle + 1,
                               /*deadlineThrows=*/!cfg.degradeOnDeadline) !=
           cancel::Status::kRun)
@@ -61,7 +58,7 @@ hg::Partition run_pipeline(const hg::Hypergraph& h, idx_t K, const PartitionConf
     }
     if (strict) hg::validate_partition_or_throw(h, rb.partition, "vcycle");
   }
-  return std::move(rb.partition);
+  return rb;
 }
 
 }  // namespace
@@ -69,15 +66,12 @@ hg::Partition run_pipeline(const hg::Hypergraph& h, idx_t K, const PartitionConf
 HgResult partition_hypergraph(const hg::Hypergraph& h, idx_t K, const PartitionConfig& cfg,
                               const std::vector<idx_t>& fixedPart) {
   FGHP_REQUIRE(K >= 1, "K must be positive");
-  FGHP_REQUIRE(cfg.numRestarts >= 1, "need at least one restart");
   WallTimer timer;
 
   // Scope the configured fault spec to this call; an empty spec leaves any
-  // process-global (FGHP_FAULT_SPEC) installation untouched. The trace
-  // capture follows the same contract for cfg.traceOut.
+  // process-global (FGHP_FAULT_SPEC) installation untouched.
   std::optional<fault::ScopedSpec> faultScope;
   if (!cfg.faultSpec.empty()) faultScope.emplace(cfg.faultSpec);
-  trace::ScopedCapture traceScope(cfg.traceOut);
   trace::TraceScope span("partition", "hg.partition", "k", K, "verts",
                          h.num_vertices());
 
@@ -89,43 +83,21 @@ HgResult partition_hypergraph(const hg::Hypergraph& h, idx_t K, const PartitionC
                       /*deadlineThrows=*/!cfg.degradeOnDeadline);
 
   Rng rng(cfg.seed);
-  idx_t recoveries = 0;
-  idx_t degraded = 0;
-
-  hg::Partition best = run_pipeline(h, K, cfg, rng, fixedPart, recoveries, degraded);
-  weight_t bestCut = hg::cutsize(h, best, cfg.metric);
-  for (idx_t restart = 1; restart < cfg.numRestarts; ++restart) {
-    // Restarts are pure quality search: stop spending when the budget is
-    // gone (the Rng spawn still happens, keeping surviving restarts'
-    // streams identical to an un-deadlined run).
-    Rng restartRng = rng.spawn();
-    if (budget_gone(cfg)) break;
-    hg::Partition candidate =
-        run_pipeline(h, K, cfg, restartRng, fixedPart, recoveries, degraded);
-    const weight_t cut = hg::cutsize(h, candidate, cfg.metric);
-    // Prefer a feasible candidate, then the lower cut.
-    const bool candFeasible = hg::is_balanced(h, candidate, cfg.epsilon);
-    const bool bestFeasible = hg::is_balanced(h, best, cfg.epsilon);
-    if ((candFeasible && !bestFeasible) ||
-        (candFeasible == bestFeasible && cut < bestCut)) {
-      best = std::move(candidate);
-      bestCut = cut;
-    }
-  }
+  hgrb::RecursiveResult rb = run_pipeline(h, K, cfg, rng, fixedPart);
 
   static metrics::Counter& runs = metrics::counter("partition.hg.runs");
   static metrics::Counter& recovered = metrics::counter("partition.recoveries");
   runs.add();
-  recovered.add(recoveries);
+  recovered.add(rb.numRecoveries);
 
   HgResult out;
   out.seconds = timer.seconds();
-  out.cutsize = bestCut;
-  out.numCutNets = hg::num_cut_nets(h, best);
-  out.imbalance = hg::imbalance(h, best);
-  out.numRecoveries = recoveries;
-  out.numDegraded = degraded;
-  out.partition = std::move(best);
+  out.cutsize = hg::cutsize(h, rb.partition, hg::CutMetric::kConnectivity);
+  out.numCutNets = hg::num_cut_nets(h, rb.partition);
+  out.imbalance = hg::imbalance(h, rb.partition);
+  out.numRecoveries = rb.numRecoveries;
+  out.numDegraded = rb.numDegraded;
+  out.partition = std::move(rb.partition);
   return out;
 }
 

@@ -11,17 +11,18 @@ namespace fghp::part {
 
 struct HgResult {
   hg::Partition partition;
-  weight_t cutsize = 0;       ///< under cfg.metric
+  weight_t cutsize = 0;       ///< connectivity-1 cutsize, eq. (3)
   idx_t numCutNets = 0;
   double imbalance = 0.0;     ///< max part weight / avg - 1
   double seconds = 0.0;       ///< wall-clock partitioning time
-  idx_t numRecoveries = 0;    ///< bisection retries/fallbacks taken, summed
-                              ///< over every restart (0 = clean run)
+  idx_t numRecoveries = 0;    ///< bisection retries/fallbacks taken
+                              ///< (0 = clean run)
   idx_t numDegraded = 0;      ///< RB nodes demoted by the deadline ladder
                               ///< (coarsen-light or greedy; 0 = full quality)
 };
 
-/// Partitions h into K equally-weighted parts minimizing cfg.metric.
+/// Partitions h into K equally-weighted parts minimizing the
+/// connectivity-1 cutsize of eq. (3).
 /// Deterministic in (h, K, cfg.seed).
 ///
 /// `fixedPart` (optional; one entry per vertex, kInvalidIdx = free) pins
@@ -39,10 +40,10 @@ struct HgResult {
 ///
 /// Deadlines: with cfg.cancel carrying a deadline, an expiring run degrades
 /// (cfg.degradeOnDeadline, the default) instead of failing — remaining RB
-/// subtrees drop to cheaper rungs (counted in numDegraded), the quality
-/// polish phases (K-way refine, V-cycles) and remaining restarts are
-/// skipped, but the balance repair still runs, so the returned partition is
-/// always valid and balance-feasible. A manual cancel() throws
+/// subtrees drop to cheaper rungs (counted in numDegraded) and the quality
+/// polish phases (K-way refine, V-cycles) are skipped, but the balance
+/// repair still runs, so the returned partition is always valid and
+/// balance-feasible. A manual cancel() throws
 /// CancelledError at the next check-point; with degradation off an expired
 /// deadline throws DeadlineExceededError. Metrics and trace capture are
 /// still flushed on either throw by the CLI layer.

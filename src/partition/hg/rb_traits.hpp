@@ -37,8 +37,8 @@ struct HgRbTraits {
   }
 
   static RbSide<HgRbTraits> extract_side(const Problem& h, const Partition& bisection,
-                                         idx_t side, const PartitionConfig& cfg) {
-    SideExtract e = hgrb::extract_side(h, bisection, side, cfg.metric);
+                                         idx_t side) {
+    SideExtract e = hgrb::extract_side(h, bisection, side);
     return {std::move(e.sub), std::move(e.toParent)};
   }
 

@@ -6,8 +6,7 @@
 
 namespace fghp::part::hgrb {
 
-SideExtract extract_side(const hg::Hypergraph& h, const hg::Partition& bisection, idx_t side,
-                         hg::CutMetric metric) {
+SideExtract extract_side(const hg::Hypergraph& h, const hg::Partition& bisection, idx_t side) {
   FGHP_REQUIRE(bisection.num_parts() == 2, "extract_side expects a bisection");
 
   SideExtract out;
@@ -31,16 +30,10 @@ SideExtract extract_side(const hg::Hypergraph& h, const hg::Partition& bisection
   for (idx_t n = 0; n < h.num_nets(); ++n) {
     const auto pinSpan = h.pins(n);
     idx_t inSide = 0;
-    bool cut = false;
     for (idx_t v : pinSpan) {
-      if (bisection.part_of(v) == side) {
-        ++inSide;
-      } else {
-        cut = true;
-      }
+      if (bisection.part_of(v) == side) ++inSide;
     }
     if (inSide < 2) continue;
-    if (cut && metric == hg::CutMetric::kCutNet) continue;  // already fully paid
     for (idx_t v : pinSpan) {
       const idx_t sv = toSub[static_cast<std::size_t>(v)];
       if (sv != kInvalidIdx) pins.push_back(sv);

@@ -4,8 +4,7 @@
 // contributing for every further part it gets split across; recursing with
 // the *restriction* of every net to each side (Çatalyürek–Aykanat's cut-net
 // splitting) makes the per-level cut costs telescope exactly to the K-way
-// connectivity-1 cutsize. For the cut-net objective (eq. 2) a cut net has
-// already paid its full cost and is dropped from both sides.
+// connectivity-1 cutsize.
 //
 // The fork-join orchestration, RNG discipline and recovery ladder live in
 // the shared engine (partition/rb_driver.hpp); this header keeps the
@@ -31,10 +30,8 @@ struct SideExtract {
 };
 
 /// Extracts the side's vertices; nets are restricted to the side (cut-net
-/// splitting) under kConnectivity, or dropped when cut under kCutNet. Nets
-/// that fall below 2 pins are dropped either way.
-SideExtract extract_side(const hg::Hypergraph& h, const hg::Partition& bisection, idx_t side,
-                         hg::CutMetric metric);
+/// splitting), and nets that fall below 2 pins are dropped.
+SideExtract extract_side(const hg::Hypergraph& h, const hg::Partition& bisection, idx_t side);
 
 struct RecursiveResult {
   hg::Partition partition;       ///< final K-way partition on the input H

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "partition/multilevel.hpp"
 #include "util/cancel.hpp"
 
 namespace fghp::part::hgr {
@@ -172,8 +173,8 @@ weight_t BisectionFM::pass(const hg::Hypergraph& h, hg::Partition& p,
   }
 
   const auto earlyLimit = std::max<std::size_t>(
-      static_cast<std::size_t>(cfg_.minFmMoves),
-      static_cast<std::size_t>(cfg_.fmEarlyExitFraction *
+      static_cast<std::size_t>(kMinFmMoves),
+      static_cast<std::size_t>(kFmEarlyExitFraction *
                                static_cast<double>(h.num_vertices())));
 
   std::vector<idx_t> moves;

@@ -3,8 +3,8 @@
 // Standard FM with gain buckets: two priority queues (one per move
 // direction), O(1) gain updates through the four critical-net rules,
 // pass-based hill climbing with rollback to the best prefix, and an
-// early-exit window. For K = 2 the connectivity-1 and cut-net objectives
-// coincide (lambda - 1 == 1 for every cut net), so one engine serves both.
+// early-exit window. For a bisection the connectivity-1 cutsize is the
+// cut-net cost (lambda - 1 == 1 for every cut net).
 #pragma once
 
 #include <array>

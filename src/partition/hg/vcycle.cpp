@@ -3,45 +3,16 @@
 #include "hypergraph/metrics.hpp"
 #include "partition/hg/coarsen.hpp"
 #include "partition/hg/kway_refine.hpp"
-#include "util/sparse_acc.hpp"
 
 namespace fghp::part::hgv {
 
 std::vector<idx_t> cluster_hcm_grouped(const hg::Hypergraph& h, Rng& rng, idx_t maxNetSize,
                                        const std::vector<idx_t>& group) {
-  const idx_t n = h.num_vertices();
-  FGHP_REQUIRE(group.size() == static_cast<std::size_t>(n), "group size mismatch");
-  std::vector<idx_t> cluster(static_cast<std::size_t>(n), kInvalidIdx);
-  SparseAccumulator<double> score(n);
-  idx_t nextId = 0;
-
-  for (idx_t v : rng.permutation(n)) {
-    if (cluster[static_cast<std::size_t>(v)] != kInvalidIdx) continue;
-    score.clear();
-    for (idx_t net : h.nets(v)) {
-      const idx_t sz = h.net_size(net);
-      if (sz < 2 || sz > maxNetSize) continue;
-      const double s = static_cast<double>(h.net_cost(net));
-      for (idx_t u : h.pins(net)) {
-        if (u != v) score.add(u, s);
-      }
-    }
-    idx_t best = kInvalidIdx;
-    double bestScore = 0.0;
-    for (idx_t u : score.keys()) {
-      if (cluster[static_cast<std::size_t>(u)] != kInvalidIdx) continue;
-      if (group[static_cast<std::size_t>(u)] != group[static_cast<std::size_t>(v)]) continue;
-      const double s = score.value(u);
-      if (s > bestScore) {
-        bestScore = s;
-        best = u;
-      }
-    }
-    const idx_t id = nextId++;
-    cluster[static_cast<std::size_t>(v)] = id;
-    if (best != kInvalidIdx) cluster[static_cast<std::size_t>(best)] = id;
-  }
-  return cluster;
+  FGHP_REQUIRE(group.size() == static_cast<std::size_t>(h.num_vertices()),
+               "group size mismatch");
+  return hgc::cluster_hcm_filtered(h, rng, maxNetSize, [&group](idx_t v, idx_t u) {
+    return group[static_cast<std::size_t>(u)] == group[static_cast<std::size_t>(v)];
+  });
 }
 
 weight_t vcycle_refine(const hg::Hypergraph& h, hg::Partition& p, const PartitionConfig& cfg,
@@ -61,15 +32,15 @@ weight_t vcycle_refine(const hg::Hypergraph& h, hg::Partition& p, const Partitio
   std::vector<Level> levels;
   const hg::Hypergraph* cur = &h;
   std::vector<idx_t> curPart = p.assignment();
-  const idx_t stopAt = std::max<idx_t>(cfg.coarsenTo, 2 * K);
+  const idx_t stopAt = std::max<idx_t>(kCoarsenTo, 2 * K);
   for (idx_t lvl = 0; lvl < cfg.maxCoarsenLevels; ++lvl) {
     if (cur->num_vertices() <= stopAt) break;
-    const idx_t maxNet = hgc::effective_max_net_size(*cur, cfg);
+    const idx_t maxNet = hgc::effective_max_net_size(*cur);
     std::vector<idx_t> clusters = cluster_hcm_grouped(*cur, rng, maxNet, curPart);
     hgc::CoarseLevel next = hgc::contract(*cur, clusters);
     const double reduction = static_cast<double>(next.coarse.num_vertices()) /
                              static_cast<double>(cur->num_vertices());
-    if (reduction > cfg.minReductionFactor) break;
+    if (reduction > kMinReductionFactor) break;
     std::vector<idx_t> coarsePart(static_cast<std::size_t>(next.coarse.num_vertices()),
                                   kInvalidIdx);
     for (idx_t v = 0; v < cur->num_vertices(); ++v) {

@@ -30,7 +30,7 @@
 //     static weight_t bisection_cut(const Problem&, const Partition&);
 //     // Sub-problem of one bisection side plus its vertex mapping.
 //     static RbSide<Traits> extract_side(const Problem&, const Partition& bisection,
-//                                        idx_t side, const PartitionConfig&);
+//                                        idx_t side);
 //     // Deep consistency check (throws InvariantError); strict mode only.
 //     static void validate_bisection(const Problem&, const Partition&);
 //     // Work-size estimate for the degradation ladder's cost model
@@ -54,6 +54,20 @@
 #include "util/types.hpp"
 
 namespace fghp::part {
+
+// Tuning values shared by the hypergraph and graph bisections and the
+// hypergraph V-cycle. No caller varies them; a value becomes a
+// PartitionConfig field again only when a second caller needs another one.
+
+/// Coarsening stops when this many vertices remain...
+inline constexpr idx_t kCoarsenTo = 100;
+/// ...or when a level keeps more than this fraction of its vertices.
+inline constexpr double kMinReductionFactor = 0.95;
+
+/// FM early exit: a pass aborts after max(kMinFmMoves,
+/// kFmEarlyExitFraction * |V|) consecutive moves without a new best cut.
+inline constexpr double kFmEarlyExitFraction = 0.25;
+inline constexpr idx_t kMinFmMoves = 128;
 
 /// Per-vertex bisection-side pin: -1 = free, 0 / 1 = fixed to that side
 /// (the paper's §3 pre-assigned vertices). Empty vector = nothing fixed.

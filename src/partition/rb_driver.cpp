@@ -292,7 +292,7 @@ struct Recurser {
     RbSide<Traits> ext;
     {
       ScopedPhase phase(Phase::kExtract);
-      ext = Traits::extract_side(h, bisection, side, cfg);
+      ext = Traits::extract_side(h, bisection, side);
       // Rebase the extraction onto original vertex ids.
       for (auto& v : ext.toParent) v = toOrig[static_cast<std::size_t>(v)];
     }

@@ -133,6 +133,33 @@ const Value& Value::at(const std::string& key) const {
 
 namespace {
 
+/// True when [p, last) spells a number in JSON's grammar,
+/// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? — std::from_chars alone
+/// would also take "01", "1." and ".5".
+bool is_json_number(const char* p, const char* last) {
+  auto digits = [&] {
+    const char* first = p;
+    while (p < last && std::isdigit(static_cast<unsigned char>(*p))) ++p;
+    return p > first;
+  };
+  if (p < last && *p == '-') ++p;
+  if (p < last && *p == '0') {
+    ++p;
+  } else if (!digits()) {
+    return false;
+  }
+  if (p < last && *p == '.') {
+    ++p;
+    if (!digits()) return false;
+  }
+  if (p < last && (*p == 'e' || *p == 'E')) {
+    ++p;
+    if (p < last && (*p == '+' || *p == '-')) ++p;
+    if (!digits()) return false;
+  }
+  return p == last;
+}
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : s_(text) {}
@@ -243,8 +270,10 @@ class Parser {
     if (pos_ == start) fail("unexpected character");
     // The whole token must be one number: "1-2" or "1.2.3" is malformed,
     // not a prefix followed by junk.
+    const char* first = s_.data() + start;
     const char* last = s_.data() + pos_;
-    const auto [end, ec] = std::from_chars(s_.data() + start, last, v.number);
+    if (!is_json_number(first, last)) fail("malformed number");
+    const auto [end, ec] = std::from_chars(first, last, v.number);
     if (ec != std::errc() || end != last) fail("malformed number");
     v.type = Value::Type::kNumber;
     return v;

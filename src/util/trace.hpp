@@ -3,12 +3,12 @@
 // Every instrumented site costs a single relaxed atomic load plus one branch
 // while tracing is disabled (the default); RAII scopes additionally keep the
 // always-on, allocation-free activity stack (current_activity()) so stall
-// diagnostics can name the running phase even in untraced runs. When enabled — programmatically,
-// via the FGHP_TRACE environment variable, or per partitioner run through
-// PartitionConfig::traceOut — events are recorded into per-thread ring
-// buffers with no locking and no heap allocation on the hot path, and can be
-// exported as Chrome trace-event JSON (loadable in chrome://tracing or
-// https://ui.perfetto.dev) at any quiescent point.
+// diagnostics can name the running phase even in untraced runs. When
+// enabled — programmatically (enable(), ScopedCapture), via the FGHP_TRACE
+// environment variable, or by a CLI's --trace-out — events are recorded into
+// per-thread ring buffers with no locking and no heap allocation on the hot
+// path, and can be exported as Chrome trace-event JSON (loadable in
+// chrome://tracing or https://ui.perfetto.dev) at any quiescent point.
 //
 // Event kinds:
 //   * span    — a named duration ("X" complete events). The RAII TraceScope
@@ -217,7 +217,7 @@ void write_chrome_trace(std::ostream& out);
 /// Captures one region into a trace file: enables tracing on construction
 /// (remembering whether it was already on) and writes `path` on destruction,
 /// restoring the previous enabled state. An empty path is a no-op, so
-/// callers can pass a config field through unconditionally. Export failures
+/// callers can pass an optional path through unconditionally. Export failures
 /// are swallowed (a lost trace must never fail the traced computation).
 class ScopedCapture {
  public:

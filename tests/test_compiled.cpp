@@ -5,10 +5,9 @@
 // suite.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdlib>
-#include <new>
 
+#include "alloc_counter.hpp"
 #include "comm/volume.hpp"
 #include "models/checkerboard.hpp"
 #include "models/finegrain.hpp"
@@ -22,30 +21,6 @@
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter: the session-reuse test asserts that iterations
-// after the first perform zero heap allocations on the serial path. Counting
-// every operator new in the binary is crude but exact — the measured window
-// contains nothing but ExecSession::run.
-namespace {
-std::atomic<long> g_allocCount{0};
-}
-
-void* operator new(std::size_t sz) {
-  g_allocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(sz ? sz : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t sz) {
-  g_allocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(sz ? sz : 1)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace fghp::spmv {
 namespace {
@@ -234,9 +209,9 @@ TEST(ExecSessionReuse, SerialIterationsAllocateNothingAfterTheFirst) {
 
   long deltas[4];
   for (int iter = 0; iter < 4; ++iter) {
-    const long before = g_allocCount.load(std::memory_order_relaxed);
+    const long before = test::allocation_count();
     session.run(x, y, &stats);
-    deltas[iter] = g_allocCount.load(std::memory_order_relaxed) - before;
+    deltas[iter] = test::allocation_count() - before;
   }
   for (int iter = 0; iter < 4; ++iter)
     EXPECT_EQ(deltas[iter], 0) << "iteration " << iter + 2 << " allocated";
@@ -388,9 +363,9 @@ TEST(ExecSessionScratch, MtRequestOfOneThreadRunsInlineWithoutAllocation) {
   std::vector<double> y;
   session.run_mt(x, y, 1);  // first call sizes y
   for (int iter = 0; iter < 4; ++iter) {
-    const long before = g_allocCount.load(std::memory_order_relaxed);
+    const long before = test::allocation_count();
     session.run_mt(x, y, 1);
-    const long delta = g_allocCount.load(std::memory_order_relaxed) - before;
+    const long delta = test::allocation_count() - before;
     EXPECT_EQ(delta, 0) << "iteration " << iter + 2 << " allocated";
   }
 }

@@ -78,6 +78,14 @@ TEST(DecompIo, RejectsTruncation) {
   EXPECT_THROW(parse("fghp-decomposition 1\nprocs 2\nnnz 3\n0\n1\n"), std::runtime_error);
 }
 
+TEST(DecompIo, HugeDeclaredCountsAreFormatErrors) {
+  // A header count is untrusted until its entries are read: a huge one
+  // followed by a single entry is a truncated file, not an allocation.
+  EXPECT_THROW(parse("fghp-decomposition 2\nprocs 2\nnnz 2721474836486\n0\n"), FormatError);
+  EXPECT_THROW(parse("fghp-decomposition 2\nprocs 2\nnnz 1\n0\nvec 2721474836486\n0 1\n"),
+               FormatError);
+}
+
 TEST(DecompIo, ErrorMentionsLine) {
   try {
     parse("fghp-decomposition 1\nprocs 2\nnnz 1\nbogus\nvec 0\n");

@@ -49,26 +49,20 @@ TEST(FixedCoarsen, ClustersNeverMixSides) {
   for (idx_t v = 0; v < 120; ++v) {
     if (fixRng.bernoulli(0.3)) fixed[static_cast<std::size_t>(v)] = fixRng.uniform(0, 1);
   }
-  for (int algo = 0; algo < 3; ++algo) {
-    Rng rng(3);
-    hgc::ClusterMap map;
-    if (algo == 0) map = hgc::cluster_hcm(h, rng, 100, fixed);
-    if (algo == 1) map = hgc::cluster_agglomerative(h, rng, 100, 50, fixed);
-    if (algo == 2) map = hgc::cluster_random(h, rng, fixed);
-    // No cluster may contain vertices fixed to both sides.
-    std::vector<signed char> side(120, -1);
-    for (idx_t v = 0; v < 120; ++v) {
-      const signed char sv = fixed[static_cast<std::size_t>(v)];
-      if (sv < 0) continue;
-      auto& slot = side[static_cast<std::size_t>(map[static_cast<std::size_t>(v)])];
-      EXPECT_TRUE(slot < 0 || slot == sv) << "algo " << algo;
-      slot = sv;
-    }
-    // contract() must accept it and propagate the pins.
-    const auto level = hgc::contract(h, map, fixed);
-    ASSERT_EQ(level.coarseFixed.size(),
-              static_cast<std::size_t>(level.coarse.num_vertices()));
+  Rng rng(3);
+  const hgc::ClusterMap map = hgc::cluster_hcm(h, rng, 100, fixed);
+  // No cluster may contain vertices fixed to both sides.
+  std::vector<signed char> side(120, -1);
+  for (idx_t v = 0; v < 120; ++v) {
+    const signed char sv = fixed[static_cast<std::size_t>(v)];
+    if (sv < 0) continue;
+    auto& slot = side[static_cast<std::size_t>(map[static_cast<std::size_t>(v)])];
+    EXPECT_TRUE(slot < 0 || slot == sv) << "vertex " << v;
+    slot = sv;
   }
+  // contract() must accept it and propagate the pins.
+  const auto level = hgc::contract(h, map, fixed);
+  ASSERT_EQ(level.coarseFixed.size(), static_cast<std::size_t>(level.coarse.num_vertices()));
 }
 
 TEST(FixedCoarsen, ContractRejectsMixedCluster) {

@@ -56,13 +56,10 @@ Hypergraph finegrain_instance(std::uint64_t seed = 5) {
 TEST(Coarsen, ClusterMapsCoverEveryVertex) {
   Rng rng(1);
   const Hypergraph h = random_hg(80, 60, 6, rng);
-  Rng r2(2), r3(2), r4(2);
-  for (const auto& map :
-       {hgc::cluster_hcm(h, r2, 100), hgc::cluster_random(h, r3),
-        hgc::cluster_agglomerative(h, r4, 100, h.total_vertex_weight() / 4)}) {
-    ASSERT_EQ(map.size(), 80u);
-    for (idx_t c : map) EXPECT_NE(c, kInvalidIdx);
-  }
+  Rng r2(2);
+  const auto map = hgc::cluster_hcm(h, r2, 100);
+  ASSERT_EQ(map.size(), 80u);
+  for (idx_t c : map) EXPECT_NE(c, kInvalidIdx);
 }
 
 TEST(Coarsen, HcmProducesAtMostPairs) {
@@ -73,18 +70,6 @@ TEST(Coarsen, HcmProducesAtMostPairs) {
   std::vector<idx_t> count(100, 0);
   for (idx_t c : map) ++count[static_cast<std::size_t>(c)];
   for (idx_t c : count) EXPECT_LE(c, 2);
-}
-
-TEST(Coarsen, AgglomerativeRespectsWeightCap) {
-  Rng rng(5);
-  const Hypergraph h = random_hg(100, 80, 5, rng);
-  Rng r2(6);
-  const weight_t cap = h.total_vertex_weight() / 10;
-  const auto map = hgc::cluster_agglomerative(h, r2, 100, cap);
-  std::vector<weight_t> w(100, 0);
-  for (idx_t v = 0; v < 100; ++v)
-    w[static_cast<std::size_t>(map[static_cast<std::size_t>(v)])] += h.vertex_weight(v);
-  for (weight_t cw : w) EXPECT_LE(cw, cap);
 }
 
 TEST(Coarsen, ContractPreservesTotalWeight) {
@@ -149,9 +134,8 @@ TEST(Coarsen, ProjectedCoarseCutEqualsFineCut) {
 
 TEST(Coarsen, OneLevelShrinksRealisticInstance) {
   const Hypergraph h = finegrain_instance();
-  PartitionConfig cfg;
   Rng rng(11);
-  const auto level = hgc::coarsen_one_level(h, cfg, rng);
+  const auto level = hgc::coarsen_one_level(h, rng);
   EXPECT_LT(level.coarse.num_vertices(), h.num_vertices());
   EXPECT_LE(level.coarse.num_pins(), h.num_pins());
 }
@@ -283,22 +267,17 @@ TEST(Recursive, ExtractSideSplitsCutNets) {
   const Hypergraph h = std::move(b).build();
   const Partition bisection(h, 2, {0, 0, 0, 1, 1, 1});
 
-  const auto left = hgrb::extract_side(h, bisection, 0, CutMetric::kConnectivity);
+  const auto left = hgrb::extract_side(h, bisection, 0);
   EXPECT_EQ(left.sub.num_vertices(), 3);
   EXPECT_EQ(left.sub.num_nets(), 2);  // net0 restriction {0,1} + net1 {0,2}; net2 drops to 1 pin
-  const auto right = hgrb::extract_side(h, bisection, 1, CutMetric::kConnectivity);
+  const auto right = hgrb::extract_side(h, bisection, 1);
   EXPECT_EQ(right.sub.num_nets(), 1);  // net0 restriction {3,4}
-
-  // Under the cut-net metric, cut nets are dropped entirely.
-  const auto leftCutNet = hgrb::extract_side(h, bisection, 0, CutMetric::kCutNet);
-  EXPECT_EQ(leftCutNet.sub.num_nets(), 1);  // only the internal net survives
 }
 
 TEST(Recursive, CutNetSplittingTelescopes) {
   // The defining property: sum of bisection cuts == final lambda-1 cutsize.
   Rng rngOuter(27);
   PartitionConfig cfg;
-  cfg.kwayRefine = false;  // the polish would break the per-level identity
   for (idx_t K : {2, 3, 4, 7, 8}) {
     const Hypergraph h = finegrain_instance(30 + static_cast<std::uint64_t>(K));
     Rng rng(cfg.seed);
@@ -422,34 +401,12 @@ TEST(HgPartitioner, DeterministicInSeed) {
   EXPECT_NE(a.partition.assignment(), c.partition.assignment());
 }
 
-TEST(HgPartitioner, RestartsNeverWorsenAndStayDeterministic) {
-  const Hypergraph h = finegrain_instance(65);
-  PartitionConfig cfg;
-  cfg.seed = 3;
-  const HgResult single = partition_hypergraph(h, 8, cfg);
-  cfg.numRestarts = 4;
-  const HgResult multi = partition_hypergraph(h, 8, cfg);
-  EXPECT_LE(multi.cutsize, single.cutsize);
-  EXPECT_TRUE(hg::is_balanced(h, multi.partition, cfg.epsilon));
-  const HgResult multi2 = partition_hypergraph(h, 8, cfg);
-  EXPECT_EQ(multi.partition.assignment(), multi2.partition.assignment());
-}
-
 TEST(HgPartitioner, KEqualsOneIsTrivial) {
   const Hypergraph h = finegrain_instance(70);
   PartitionConfig cfg;
   const HgResult r = partition_hypergraph(h, 1, cfg);
   EXPECT_EQ(r.cutsize, 0);
   EXPECT_EQ(r.numCutNets, 0);
-}
-
-TEST(HgPartitioner, CutNetMetricSupported) {
-  const Hypergraph h = finegrain_instance(80);
-  PartitionConfig cfg;
-  cfg.metric = CutMetric::kCutNet;
-  const HgResult r = partition_hypergraph(h, 4, cfg);
-  EXPECT_EQ(r.cutsize, hg::cutsize(h, r.partition, CutMetric::kCutNet));
-  EXPECT_TRUE(hg::is_balanced(h, r.partition, cfg.epsilon));
 }
 
 TEST(HgPartitioner, ZeroWeightDummiesDoNotBreakBalance) {
@@ -544,22 +501,6 @@ TEST(HgPartitionerEdge, ZeroWeightVerticesOnly) {
   PartitionConfig cfg;
   EXPECT_NO_THROW(partition_hypergraph(h, 2, cfg));
 }
-
-class CoarseningAblation : public ::testing::TestWithParam<Coarsening> {};
-
-TEST_P(CoarseningAblation, AllPoliciesProduceValidPartitions) {
-  const Hypergraph h = finegrain_instance(90);
-  PartitionConfig cfg;
-  cfg.coarsening = GetParam();
-  const HgResult r = partition_hypergraph(h, 4, cfg);
-  EXPECT_TRUE(r.partition.complete());
-  EXPECT_TRUE(hg::is_balanced(h, r.partition, cfg.epsilon));
-}
-
-INSTANTIATE_TEST_SUITE_P(Policies, CoarseningAblation,
-                         ::testing::Values(Coarsening::kHeavyConnectivity,
-                                           Coarsening::kAgglomerative,
-                                           Coarsening::kRandomMatching, Coarsening::kNone));
 
 }  // namespace
 }  // namespace fghp::part

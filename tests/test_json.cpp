@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <sstream>
@@ -131,8 +132,26 @@ TEST(JsonParse, RejectsBadUnicodeEscapesAndPartialNumbers) {
         R"({"n": 1.2.3})"}) {
     EXPECT_THROW(json::parse(bad), FormatError) << bad;
   }
+  // Spellings JSON's number grammar forbids even though std::from_chars
+  // reads them.
+  for (const std::string bad : {"01", "-01", "1.", ".5", "-", "+1", "1e", "1e+", "-.5", "00"}) {
+    EXPECT_THROW(json::parse(R"({"n": )" + bad + "}"), FormatError) << bad;
+  }
   EXPECT_EQ(json::parse(R"({"s": "A"})").at("s").str, "A");
   EXPECT_EQ(json::parse(R"({"n": -1.5e+2})").at("n").number, -150.0);
+  EXPECT_EQ(json::parse("0").number, 0.0);
+  EXPECT_TRUE(std::signbit(json::parse("-0").number));
+  EXPECT_EQ(json::parse("0.5").number, 0.5);
+  EXPECT_EQ(json::parse("1e5").number, 1e5);
+  EXPECT_EQ(json::parse("1E-5").number, 1E-5);
+  // Everything the writer emits reads back: shortest round-trip doubles.
+  for (const double d : {0.1, 1.0 / 3.0, 1e-300, 5e-324, -0.0, 1e21, 123456789.0, -2.5e-7,
+                         std::numeric_limits<double>::max()}) {
+    const std::string text = written([&](json::Writer& w) { w.value(d); });
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(json::parse(text).number),
+              std::bit_cast<std::uint64_t>(d))
+        << text;
+  }
 }
 
 }  // namespace

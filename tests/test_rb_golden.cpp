@@ -5,11 +5,14 @@
 // FNV-1a hash of the assignment vector plus the cutsize, at 1, 2 and 8
 // threads. They are the safety net for refactors of the RB orchestration:
 // any change to the traversal order, RNG stream derivation, recovery ladder
-// or extraction logic shows up as a hash mismatch here.
+// or extraction logic shows up as a hash mismatch here. A second table pins
+// the whole decompositions of the 1D hypergraph models and the geometric fast
+// paths, which share the partitioner code.
 //
 // Regenerating: FGHP_GOLDEN_PRINT=1 ./test_rb_golden prints the current
-// signatures in the exact table form below. Only paste new values when an
-// output change is *intended* — this file exists to make silent drift loud.
+// signatures of both tables in the exact form below. Only paste new values
+// when an output change is *intended* — this file exists to make silent
+// drift loud.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,11 +24,14 @@
 #include "hypergraph/metrics.hpp"
 #include "models/finegrain.hpp"
 #include "models/graph_model.hpp"
+#include "models/hypergraph1d.hpp"
+#include "models/rownet.hpp"
 #include "partition/gp/gpartitioner.hpp"
 #include "partition/gp/grecursive.hpp"
 #include "partition/hg/partitioner.hpp"
 #include "partition/hg/recursive.hpp"
 #include "sparse/generators.hpp"
+#include "util/assert.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
 
@@ -133,15 +139,6 @@ Sig run_case(const Case& c, idx_t threads) {
   return run_gp_facade(a, c.K, threads);
 }
 
-TEST(RbGolden, PrintCurrentSignatures) {
-  if (!env_flag("FGHP_GOLDEN_PRINT")) GTEST_SKIP() << "set FGHP_GOLDEN_PRINT=1 to print";
-  for (const Case& c : kGolden) {
-    const Sig s = run_case(c, 1);
-    std::printf("    {\"%s\", \"%s\", %d, {0x%016llxULL, %lld}},\n", c.engine, c.matrix,
-                static_cast<int>(c.K), static_cast<unsigned long long>(s.hash), s.cut);
-  }
-}
-
 class RbGoldenSweep : public ::testing::TestWithParam<idx_t> {};
 
 TEST_P(RbGoldenSweep, PinnedAtEveryThreadCount) {
@@ -156,6 +153,86 @@ TEST_P(RbGoldenSweep, PinnedAtEveryThreadCount) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, RbGoldenSweep, ::testing::Values(1, 2, 8));
+
+// Whole decompositions of the other model pipelines that share the
+// partitioner code: the column-net and row-net 1D hypergraph models and the
+// two geometric fast paths of the fine-grain model. The hash covers the
+// nonzero, x and y owners in that order; `cut` is the run's objective.
+struct ModelCase {
+  const char* model;   // "colnet", "rownet", "geometric", "geometric-fm"
+  const char* matrix;  // "mesh", "irregular"
+  idx_t K;
+  Sig expected;  // at every thread count
+};
+
+const ModelCase kModelGolden[] = {
+    {"colnet", "mesh", 4, {0x00b86afc30869e83ULL, 79}},
+    {"colnet", "mesh", 8, {0x5bd15e508dc71042ULL, 154}},
+    {"colnet", "irregular", 4, {0x12f58a319877dc22ULL, 267}},
+    {"colnet", "irregular", 8, {0xac0b79fece66ed46ULL, 393}},
+    {"rownet", "mesh", 4, {0x4deed29d10bd07c3ULL, 79}},
+    {"rownet", "mesh", 8, {0xc79d3dd07cc13522ULL, 154}},
+    {"rownet", "irregular", 4, {0x8f10f93232ba56a1ULL, 303}},
+    {"rownet", "irregular", 8, {0x3ba16f152555bac5ULL, 442}},
+    {"geometric", "mesh", 4, {0x6b7c57d3e054c8c3ULL, 120}},
+    {"geometric", "mesh", 8, {0x15e11cefe9322e83ULL, 280}},
+    {"geometric", "irregular", 4, {0x204bf894217de940ULL, 445}},
+    {"geometric", "irregular", 8, {0x376043dafeef1084ULL, 711}},
+    {"geometric-fm", "mesh", 4, {0x6b7c57d3e054c8c3ULL, 120}},
+    {"geometric-fm", "mesh", 8, {0x15e11cefe9322e83ULL, 280}},
+    {"geometric-fm", "irregular", 4, {0x01967889ff3fda42ULL, 434}},
+    {"geometric-fm", "irregular", 8, {0xe0aff392dafbee84ULL, 681}},
+};
+
+Sig run_model_case(const ModelCase& c, idx_t threads) {
+  const sparse::Csr a =
+      std::string(c.matrix) == "mesh" ? mesh_matrix() : irregular_matrix();
+  part::PartitionConfig cfg = golden_config(threads);
+  const std::string model = c.model;
+  model::ModelRun r;
+  if (model == "colnet") {
+    r = model::run_hypergraph1d(a, c.K, cfg);
+  } else if (model == "rownet") {
+    r = model::run_rownet(a, c.K, cfg);
+  } else {
+    FGHP_REQUIRE(part::parse_method(model, cfg.method), "unknown golden model");
+    r = model::run_finegrain(a, c.K, cfg);
+  }
+  std::vector<idx_t> owners = r.decomp.nnzOwner;
+  owners.insert(owners.end(), r.decomp.xOwner.begin(), r.decomp.xOwner.end());
+  owners.insert(owners.end(), r.decomp.yOwner.begin(), r.decomp.yOwner.end());
+  return {fnv1a(owners), static_cast<long long>(r.objective)};
+}
+
+TEST(RbGolden, PrintCurrentSignatures) {
+  if (!env_flag("FGHP_GOLDEN_PRINT")) GTEST_SKIP() << "set FGHP_GOLDEN_PRINT=1 to print";
+  for (const Case& c : kGolden) {
+    const Sig s = run_case(c, 1);
+    std::printf("    {\"%s\", \"%s\", %d, {0x%016llxULL, %lld}},\n", c.engine, c.matrix,
+                static_cast<int>(c.K), static_cast<unsigned long long>(s.hash), s.cut);
+  }
+  std::printf("\n");
+  for (const ModelCase& c : kModelGolden) {
+    const Sig s = run_model_case(c, 1);
+    std::printf("    {\"%s\", \"%s\", %d, {0x%016llxULL, %lld}},\n", c.model, c.matrix,
+                static_cast<int>(c.K), static_cast<unsigned long long>(s.hash), s.cut);
+  }
+}
+
+class ModelGoldenSweep : public ::testing::TestWithParam<idx_t> {};
+
+TEST_P(ModelGoldenSweep, PinnedAtEveryThreadCount) {
+  const idx_t threads = GetParam();
+  for (const ModelCase& c : kModelGolden) {
+    const Sig s = run_model_case(c, threads);
+    EXPECT_EQ(s.hash, c.expected.hash)
+        << c.model << " " << c.matrix << " K=" << c.K << " threads=" << threads;
+    EXPECT_EQ(s.cut, c.expected.cut)
+        << c.model << " " << c.matrix << " K=" << c.K << " threads=" << threads;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ModelGoldenSweep, ::testing::Values(1, 2, 8));
 
 }  // namespace
 }  // namespace fghp

@@ -7,11 +7,10 @@
 // workload-agnostic core that runs SpMV.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 
+#include "alloc_counter.hpp"
 #include "exec/schedule.hpp"
 #include "spgemm/finegrain.hpp"
 #include "spgemm/plan.hpp"
@@ -22,28 +21,6 @@
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
-
-// Global allocation counter for the zero-allocation test (same crude-but-
-// exact device as test_compiled.cpp; the measured window contains nothing
-// but SpgemmSession::run).
-namespace {
-std::atomic<long> g_allocCount{0};
-}
-
-void* operator new(std::size_t sz) {
-  g_allocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(sz ? sz : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t sz) {
-  g_allocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(sz ? sz : 1)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace fghp::spgemm {
 namespace {
@@ -232,9 +209,9 @@ TEST(SpgemmExec, RepeatedIterationsAllocateNothing) {
   std::vector<double> c;
   session.run(f.a.values(), f.b.values(), c);  // first iteration sizes scratch
 
-  const long before = g_allocCount.load(std::memory_order_relaxed);
+  const long before = test::allocation_count();
   for (int it = 0; it < 10; ++it) session.run(f.a.values(), f.b.values(), c);
-  EXPECT_EQ(g_allocCount.load(std::memory_order_relaxed), before);
+  EXPECT_EQ(test::allocation_count(), before);
 }
 
 TEST(SpgemmValidate, CorruptedScheduleCaught) {

@@ -6,18 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "models/finegrain.hpp"
 #include "partition/hg/partitioner.hpp"
 #include "partition/phase_timers.hpp"
@@ -25,29 +24,6 @@
 #include "util/metrics.hpp"
 #include "util/json.hpp"
 #include "util/trace.hpp"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter (same technique as test_compiled): the disabled-
-// mode test asserts that an untraced instrumentation site performs zero heap
-// allocations.
-namespace {
-std::atomic<long> g_allocCount{0};
-}
-
-void* operator new(std::size_t sz) {
-  g_allocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(sz ? sz : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t sz) {
-  g_allocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(sz ? sz : 1)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace fghp {
 namespace {
@@ -216,13 +192,13 @@ TEST(TraceDisabled, RecordsNothingAndAllocatesNothing) {
 
   trace::now_ns();  // warm the clock epoch outside the measured window
 
-  const long before = g_allocCount.load(std::memory_order_relaxed);
+  const long before = test::allocation_count();
   for (int i = 0; i < 100; ++i) {
     trace::TraceScope span("off", "site", "arg", i);
     trace::instant("off", "instant", "arg", i);
     trace::counter("off", "counter", 1.0, "arg", i);
   }
-  const long delta = g_allocCount.load(std::memory_order_relaxed) - before;
+  const long delta = test::allocation_count() - before;
 
   EXPECT_EQ(delta, 0) << "a disabled site must not touch the heap";
   EXPECT_EQ(trace::event_count(), 0u);
@@ -268,8 +244,10 @@ TEST(ScopedCapture, WritesPipelineTraceAndRestoresState) {
   const model::FineGrainModel m = model::build_finegrain(a);
   part::PartitionConfig cfg;
   cfg.numThreads = 1;
-  cfg.traceOut = path;
-  part::partition_hypergraph(m.h, 4, cfg);
+  {
+    trace::ScopedCapture capture(path);
+    part::partition_hypergraph(m.h, 4, cfg);
+  }
 
   EXPECT_FALSE(trace::enabled()) << "capture must restore the prior state";
 
