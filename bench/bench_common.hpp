@@ -23,7 +23,6 @@
 #include "models/hypergraph1d.hpp"
 #include "partition/config.hpp"
 #include "sparse/testsuite.hpp"
-#include "exec/kernels.hpp"
 #include "util/assert.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
@@ -82,7 +81,7 @@ inline double stream_triad_gbps(std::size_t nDoubles, int reps) {
   std::vector<double> a(nDoubles, 0.0), b(nDoubles, 1.0), c(nDoubles, 2.0);
   const double s = 3.0;
   auto pass = [&] {
-    FGHP_SIMD_LOOP
+#pragma omp simd
     for (std::size_t i = 0; i < nDoubles; ++i) a[i] = b[i] + s * c[i];
   };
   pass();

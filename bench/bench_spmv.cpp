@@ -72,19 +72,6 @@ double time_iteration_ms(int reps, Fn&& iterate) {
   return bench::median(std::move(samples));
 }
 
-/// Measured last-level-cache read misses per nonzero over `reps` serial
-/// iterations, or negative when hardware counters are disabled (--perf not
-/// given) or unavailable — the roofline section then says so and moves on.
-template <typename Fn>
-double llc_misses_per_nnz(int reps, idx_t nnz, Fn&& iterate) {
-  const perf::Sample begin = perf::read_thread();
-  if (!begin.valid) return -1.0;
-  for (int r = 0; r < reps; ++r) iterate();
-  const perf::Sample d = perf::delta(begin, perf::read_thread());
-  if (!d.valid) return -1.0;
-  return static_cast<double>(d.llcMisses) / reps / static_cast<double>(nnz);
-}
-
 /// Roofline workloads: large generated matrices where the iteration is
 /// memory-bound. stencil2d arrives in its natural (near-optimal) order and
 /// checks the reorder never regresses a good ordering; the shuffled stencil
@@ -250,7 +237,6 @@ int main(int argc, char** argv) {
   };
   Table tr({"matrix", "rows", "nnz", "no-reorder[ms]", "reorder[ms]", "mt[ms]",
             "GB/s base", "GB/s reord", "speedup", "% of STREAM"});
-  std::vector<std::string> llcLines;
   for (const RooflineCase& rc : cases) {
     const char* mname = rc.matrix;
     const sparse::Csr a = roofline_matrix(mname, env.scale);
@@ -276,18 +262,6 @@ int main(int argc, char** argv) {
     const double reordMs = time_iteration_ms(rooflineReps, [&] { reordered.run(x, y); });
     const double mtMs = time_iteration_ms(rooflineReps, [&] { reordered.run_mt(x, y); });
 
-    // The direct evidence for the cache reorder that the GB/s proxy only
-    // implies: measured LLC read misses per nonzero, both images.
-    const double missBase =
-        llc_misses_per_nnz(rooflineReps, a.nnz(), [&] { baseline.run(x, yBase); });
-    const double missReord =
-        llc_misses_per_nnz(rooflineReps, a.nnz(), [&] { reordered.run(x, y); });
-    if (missBase >= 0.0 && missReord >= 0.0) {
-      llcLines.push_back("  " + std::string(mname) + "/K" + std::to_string(kRoof) +
-                         ": " + Table::num(missBase, 4) + " no-reorder -> " +
-                         Table::num(missReord, 4) + " reordered");
-    }
-
     const auto& c = reordered.compiled();
     const double bytes =
         12.0 * static_cast<double>(a.nnz()) +
@@ -304,7 +278,7 @@ int main(int argc, char** argv) {
                 Table::num(reordMs, 3), Table::num(mtMs, 3), Table::num(gbpsBase, 2),
                 Table::num(gbps, 2), Table::num(speedup, 2),
                 Table::num(100.0 * gbps / streamGbps, 1)});
-    auto& rec = json.add("roofline")
+    json.add("roofline")
         .field("matrix", std::string(mname))
         .field("k", kRoof)
         .field("rows", static_cast<long long>(a.num_rows()))
@@ -318,21 +292,10 @@ int main(int argc, char** argv) {
         .field("gbps_speedup", speedup)
         .field("stream_fraction", gbps / streamGbps)
         .field("reordered_procs", c.reorderedProcs);
-    if (missBase >= 0.0 && missReord >= 0.0)
-      rec.field("llc_miss_per_nnz_noreorder", missBase).field("llc_miss_per_nnz", missReord);
     }
     tr.add_separator();
   }
   tr.print();
-  if (!llcLines.empty()) {
-    std::printf("\nMeasured LLC read misses per nonzero (hardware counters):\n");
-    for (const std::string& line : llcLines) std::printf("%s\n", line.c_str());
-  } else {
-    std::printf("\n(measured LLC-miss datapoints skipped: hardware counters %s)\n",
-                !perf::compiled_in()        ? "compiled out"
-                : !perf::enabled()          ? "not enabled — pass --perf"
-                                            : "unavailable on this kernel/container");
-  }
 
   int rc = 0;
   if (const auto path = args.flag("json"); path && !json.write(*path)) rc = 1;

@@ -7,7 +7,7 @@
 //   ./cg_solver [--n 64] [--k 8] [--tol 1e-8] [--max-iters 500]
 //               [--timeout-ms MS]
 //               [--trace-out trace.json] [--metrics-out metrics.json|-]
-//               [--report-out report.json|-] [--perf]
+//               [--report-out report.json|-]
 //
 // --timeout-ms (or FGHP_TIMEOUT_MS; the flag wins) covers the whole solve:
 // the partitioner degrades gracefully if the budget runs short during setup,
@@ -28,7 +28,6 @@
 #include "util/error.hpp"
 #include "util/observability.hpp"
 #include "util/options.hpp"
-#include "util/perf_counters.hpp"
 #include "util/report.hpp"
 
 namespace {
@@ -98,7 +97,6 @@ int run(const ArgParser& args, report::Builder& rep) {
     for (std::size_t i = 0; i < u.size(); ++i) s += u[i] * v[i];
     return s;
   };
-  perf::CounterScope perfScope("cg.iterations");
   double rr = dot(rres, rres);
   const double bnorm = std::sqrt(dot(b, b));
   long iters = 0;

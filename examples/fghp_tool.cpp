@@ -34,8 +34,7 @@
 // --metrics-out FILE|- (flat metrics JSON; "-" = stdout), --report-out
 // FILE|- (structured RunReport JSON — phase timings, parallel efficiency,
 // modeled-vs-measured volume audit; implies tracing so the report has
-// phases), and --perf (hardware counters via perf_event_open; degrades to
-// zeroed counters with one warning where the kernel refuses).
+// phases).
 //
 // Exit codes follow fghp::ErrorCode: 0 success, 1 unknown error, 2 usage,
 // 3 io, 4 format, 5 invariant, 6 infeasible, 7 injected fault, 8 cancelled,
@@ -50,6 +49,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -82,7 +82,6 @@
 #include "util/json.hpp"
 #include "util/observability.hpp"
 #include "util/options.hpp"
-#include "util/perf_counters.hpp"
 #include "util/report.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -107,6 +106,7 @@ int usage() {
                "            [--timeout-ms MS]\n"
                "  spgemm <a.mtx> [b.mtx | --b-matrix b.mtx] --k K [--eps E] [--seed N]\n"
                "            [--threads T] [--reps R] [--timeout-ms MS]\n"
+               "            (1 <= K <= 4096, else exit 2)\n"
                "  report <report.json>   (render a saved --report-out file)\n"
                "  faults\n"
                "every command also accepts:\n"
@@ -116,9 +116,6 @@ int usage() {
                "  --report-out FILE   structured RunReport JSON ('-' = stdout):\n"
                "                      phase wall/busy/critical-path times, parallel\n"
                "                      efficiency, modeled-vs-measured volume audit\n"
-               "  --perf              hardware counters (cycles, instructions,\n"
-               "                      LLC misses, branch misses) where the kernel\n"
-               "                      allows; FGHP_PERF=1 is the no-flag equivalent\n"
                "  --timeout-ms MS     deadline on the whole command's work\n"
                "                      (or FGHP_TIMEOUT_MS=MS; flag wins)\n"
                "partition degrades gracefully on an expiring deadline (still a\n"
@@ -138,6 +135,17 @@ long resolve_timeout_ms(const ArgParser& args) {
   if (const auto flag = args.flag("timeout-ms")) return std::stol(*flag);
   if (const char* env = std::getenv("FGHP_TIMEOUT_MS")) return std::stol(env);
   return -1;
+}
+
+/// --k, range-checked before any matrix is read: the volume analysis that
+/// follows every partition takes at most comm::kMaxProcs processors, and a
+/// wider value must not wrap into a small idx_t. Out of range is a usage
+/// error (exit 2).
+idx_t parse_k(const ArgParser& args) {
+  const long k = args.flag_long("k", 16);
+  if (k < 1 || k > comm::kMaxProcs)
+    throw std::invalid_argument("--k must be in [1, " + std::to_string(comm::kMaxProcs) + "]");
+  return static_cast<idx_t>(k);
 }
 
 int cmd_faults() {
@@ -192,14 +200,7 @@ int cmd_stats(const ArgParser& args) {
 int cmd_partition(const ArgParser& args, report::Builder& rep) {
   if (args.positional().size() < 2) return usage();
   WallTimer totalTimer;  // whole command: read + model build + partition + analysis
-  // Checked before any work: the volume analysis that follows the partition
-  // cannot take more than comm::kMaxProcs processors.
-  const long kArg = args.flag_long("k", 16);
-  if (kArg < 1 || kArg > comm::kMaxProcs) {
-    std::fprintf(stderr, "partition: --k must be in [1, %d]\n", static_cast<int>(comm::kMaxProcs));
-    return 2;
-  }
-  const auto k = static_cast<idx_t>(kArg);
+  const idx_t k = parse_k(args);
   const sparse::Csr a = sparse::read_matrix_market_file(args.positional()[1]);
   if (!a.is_square()) {
     std::fprintf(stderr, "partition: matrix must be square\n");
@@ -232,7 +233,6 @@ int cmd_partition(const ArgParser& args, report::Builder& rep) {
   rep.info("method", methodName);
   rep.info("k", static_cast<long long>(k));
 
-  perf::CounterScope perfScope("partition");
   model::ModelRun run;
   if (modelName == "finegrain") {
     run = model::run_finegrain(a, k, cfg);
@@ -351,10 +351,7 @@ int cmd_simulate(const ArgParser& args, report::Builder& rep) {
   spmv::ExecStats stats;
   WallTimer timer;
   std::vector<double> y;
-  {
-    perf::CounterScope perfScope("simulate");
-    for (int r = 0; r < reps; ++r) session.run_mt(x, y, threads, &stats);
-  }
+  for (int r = 0; r < reps; ++r) session.run_mt(x, y, threads, &stats);
   const double wall = timer.millis() / reps;
 
   const auto yRef = spmv::multiply(a, x);
@@ -376,6 +373,7 @@ int cmd_simulate(const ArgParser& args, report::Builder& rep) {
 
 int cmd_spgemm(const ArgParser& args, report::Builder& rep) {
   if (args.positional().size() < 2) return usage();
+  const idx_t k = parse_k(args);
   const sparse::Csr a = sparse::read_matrix_market_file(args.positional()[1]);
   // B != A enters either positionally or via --b-matrix (the flag wins);
   // omitted = the classic A*A squaring.
@@ -383,7 +381,6 @@ int cmd_spgemm(const ArgParser& args, report::Builder& rep) {
   if (const auto bf = args.flag("b-matrix")) bPath = *bf;
   else if (args.positional().size() >= 3) bPath = args.positional()[2];
   const sparse::Csr b = bPath.empty() ? a : sparse::read_matrix_market_file(bPath);
-  const auto k = static_cast<idx_t>(args.flag_long("k", 16));
   const auto reps = static_cast<int>(args.flag_long("reps", 10));
   const auto threads = static_cast<idx_t>(args.flag_long("threads", 0));
   part::PartitionConfig cfg;
@@ -432,11 +429,8 @@ int cmd_spgemm(const ArgParser& args, report::Builder& rep) {
   spgemm::ExecStats stats;
   WallTimer timer;
   std::vector<double> c;
-  {
-    perf::CounterScope perfScope("spgemm");
-    for (int r = 0; r < reps; ++r)
-      session.run_mt(a.values(), b.values(), c, threads, &stats);
-  }
+  for (int r = 0; r < reps; ++r)
+    session.run_mt(a.values(), b.values(), c, threads, &stats);
   const double wall = timer.millis() / reps;
 
   const std::vector<double> cRef = spgemm::reference_multiply(a, b, t);

@@ -182,9 +182,8 @@ done
 rm -rf "$ttmp"
 
 echo "--- report smoke: structured RunReport + volume audit ---"
-# One partition and one simulate with --report-out (simulate also with
-# --perf, which degrades gracefully where the kernel refuses counters). The
-# reports must be valid JSON, every phase's parallel efficiency must lie in
+# One partition and one simulate with --report-out. The reports must be
+# valid version-2 JSON, every phase's parallel efficiency must lie in
 # (0, 1], trace-drop accounting must be present, and the simulate report's
 # modeled-vs-measured volume audit must match exactly. Finally the reports
 # must render back through `fghp_tool report`.
@@ -193,7 +192,7 @@ rtool=./build/examples/fghp_tool
 "$rtool" gen sherman3 --out "$rtmp/m.mtx" --scale 0.2 > /dev/null
 "$rtool" partition "$rtmp/m.mtx" --model finegrain --k 8 --out "$rtmp/d.decomp" \
     --report-out "$rtmp/partition_report.json" > /dev/null
-"$rtool" simulate "$rtmp/m.mtx" "$rtmp/d.decomp" --reps 3 --perf \
+"$rtool" simulate "$rtmp/m.mtx" "$rtmp/d.decomp" --reps 3 \
     --report-out "$rtmp/simulate_report.json" > /dev/null 2>&1
 for f in partition_report simulate_report; do
   python3 -m json.tool "$rtmp/$f.json" > /dev/null || {
@@ -204,8 +203,8 @@ import json, sys
 tmp = sys.argv[1]
 for name in ("partition_report", "simulate_report"):
     r = json.load(open(f"{tmp}/{name}.json"))
-    if r["run_report_version"] != 1 or r["status"] != "ok":
-        sys.exit(f"report smoke FAILED: {name} is not a clean v1 report")
+    if r["run_report_version"] != 2 or r["status"] != "ok":
+        sys.exit(f"report smoke FAILED: {name} is not a clean v2 report")
     if "dropped" not in r["trace"]:
         sys.exit(f"report smoke FAILED: {name} has no trace-drop accounting")
     if not r["phases"]:
@@ -223,31 +222,9 @@ print(f'  volume audit: {audit["iterations"]} iterations, expand '
       f'{audit["measured_expand_words"]} measured == '
       f'{audit["modeled_expand_words"]} modeled * iters (MATCH)')
 PY
-"$rtool" report "$rtmp/simulate_report.json" | grep -q "RunReport v1" || {
+"$rtool" report "$rtmp/simulate_report.json" | grep -q "RunReport v2" || {
   echo "report smoke FAILED: 'fghp_tool report' did not render"; exit 1; }
 rm -rf "$rtmp"
-
-echo "--- FGHP_PERF=OFF build: counters compiled out, results identical ---"
-# The compile-time gate: everything must build, the observability tests must
-# pass (the refused-open test self-skips), and a --perf run must still
-# produce a clean report that says compiled_in=false.
-cmake -B build-noperf -G Ninja -DFGHP_PERF=OFF -DFGHP_BUILD_BENCH=OFF > /dev/null
-cmake --build build-noperf --target test_report fghp_tool
-./build-noperf/tests/test_report
-ptmp=$(mktemp -d)
-./build-noperf/examples/fghp_tool gen sherman3 --out "$ptmp/m.mtx" --scale 0.15 > /dev/null
-./build-noperf/examples/fghp_tool partition "$ptmp/m.mtx" --model finegrain --k 4 \
-    --perf --report-out "$ptmp/r.json" --out "$ptmp/d.decomp" > /dev/null
-python3 - "$ptmp/r.json" <<'PY'
-import json, sys
-r = json.load(open(sys.argv[1]))
-if r["perf"]["compiled_in"]:
-    sys.exit("FGHP_PERF=OFF report still claims counters compiled in")
-if r["status"] != "ok":
-    sys.exit("FGHP_PERF=OFF partition run failed")
-print("  FGHP_PERF=OFF: clean report, compiled_in=false")
-PY
-rm -rf "$ptmp"
 
 # Parses a bench --json document; fails on any null or non-finite number in
 # it, and on a compiled_gflops / gflops <= 0 in any record. A second argument

@@ -471,38 +471,17 @@ void Session::resolve_metrics() {
        200000, 500000, 1000000});
 }
 
-void Session::note_iteration(std::uint64_t startNs, const perf::Sample& perfBegin) {
+void Session::note_iteration(std::uint64_t startNs) {
   mIterationUs_->observe(
       static_cast<std::int64_t>((trace::now_ns() - startNs) / 1000));
-  if (!perfBegin.valid) return;
-  const perf::Sample end = perf::read_thread();
-  if (!end.valid) return;
-  // First valid sample resolves the perf counters — allocation happens only
-  // on a perf-enabled run, preserving the zero-alloc iteration contract for
-  // everyone else. On the pooled MT path these are the *calling* thread's
-  // counters (orchestration + any inline supersteps); worker-side cycles are
-  // covered by whole-phase CounterScopes in the callers.
-  if (mPerfCycles_ == nullptr) {
-    const std::string p = "perf." + c_.metricPrefix + ".iteration.";
-    mPerfCycles_ = &metrics::counter(p + "cycles");
-    mPerfInstructions_ = &metrics::counter(p + "instructions");
-    mPerfLlcMisses_ = &metrics::counter(p + "llc_misses");
-    mPerfBranchMisses_ = &metrics::counter(p + "branch_misses");
-  }
-  const perf::Sample d = perf::delta(perfBegin, end);
-  mPerfCycles_->add(static_cast<std::int64_t>(d.cycles));
-  mPerfInstructions_->add(static_cast<std::int64_t>(d.instructions));
-  mPerfLlcMisses_->add(static_cast<std::int64_t>(d.llcMisses));
-  mPerfBranchMisses_->add(static_cast<std::int64_t>(d.branchMisses));
 }
 
 void Session::run(std::span<const std::span<const double>> ins,
                   std::vector<double>& out, ExecStats* stats) {
   cancel::check_point(cancel_, "exec.iter", "cancel.exec.iter", ++iter_);
   const std::uint64_t t0 = trace::now_ns();
-  const perf::Sample p0 = perf::read_thread();
   run_serial_impl(ins, out, stats);
-  note_iteration(t0, p0);
+  note_iteration(t0);
 }
 
 void Session::run_serial_impl(std::span<const std::span<const double>> ins,
@@ -561,7 +540,6 @@ void Session::run_mt(std::span<const std::span<const double>> ins,
                          "mt", 1);
   cancel::check_point(cancel_, "exec.iter", "cancel.exec.iter", ++iter_);
   const std::uint64_t iterT0 = trace::now_ns();
-  const perf::Sample iterP0 = perf::read_thread();
   FGHP_REQUIRE(ins.size() == c_.in.size(), "input space count mismatch");
   for (std::size_t sp = 0; sp < c_.in.size(); ++sp)
     FGHP_REQUIRE(ins[sp].size() == uz(c_.in[sp].size), "input size mismatch");
@@ -731,7 +709,7 @@ void Session::run_mt(std::span<const std::span<const double>> ins,
       stats->taskRetries = static_cast<idx_t>(taskRetries.value());
       stats->serialFallback = true;
     }
-    note_iteration(iterT0, iterP0);
+    note_iteration(iterT0);
     return;
   }
 
@@ -746,7 +724,7 @@ void Session::run_mt(std::span<const std::span<const double>> ins,
     stats->taskRetries = static_cast<idx_t>(taskRetries.value());
     stats->serialFallback = false;
   }
-  note_iteration(iterT0, iterP0);
+  note_iteration(iterT0);
 }
 
 }  // namespace fghp::exec

@@ -32,8 +32,7 @@
 // table at compile time — results stay bit-identical either way. Gathered-
 // lhs schedules (SpGEMM) skip the pass: their blocks stream three spaces at
 // once and the bipartite proxy does not model that. The hot loops run
-// through the compile-time-selected kernels in exec/kernels.hpp. DESIGN.md
-// §12, §14.
+// through the kernels in exec/kernels.hpp. DESIGN.md §12, §14.
 #pragma once
 
 #include <span>
@@ -43,7 +42,6 @@
 #include "exec/schedule.hpp"
 #include "util/cancel.hpp"
 #include "util/metrics.hpp"
-#include "util/perf_counters.hpp"
 
 namespace fghp::exec {
 
@@ -202,11 +200,8 @@ class Session {
   void resolve_metrics();
 
   /// Folds one iteration's duration into the `<prefix>.iteration.us`
-  /// histogram and — when both hardware-counter samples are valid — the
-  /// deltas into the lazily resolved `perf.<prefix>.iteration.*` counters.
-  /// Lazy on purpose: a perf-disabled run registers no zero-valued perf
-  /// metrics and pays no allocation (the zero-alloc iteration contract).
-  void note_iteration(std::uint64_t startNs, const perf::Sample& perfBegin);
+  /// histogram.
+  void note_iteration(std::uint64_t startNs);
 
   Image c_;
   cancel::CancelToken cancel_;
@@ -227,12 +222,6 @@ class Session {
   metrics::Counter* mTaskRetries_ = nullptr;
   metrics::Counter* mSerialFallbacks_ = nullptr;
   metrics::Histogram* mIterationUs_ = nullptr;
-  // Lazily resolved by note_iteration on the first iteration with valid
-  // hardware-counter samples; stay null (and unregistered) when perf is off.
-  metrics::Counter* mPerfCycles_ = nullptr;
-  metrics::Counter* mPerfInstructions_ = nullptr;
-  metrics::Counter* mPerfLlcMisses_ = nullptr;
-  metrics::Counter* mPerfBranchMisses_ = nullptr;
 };
 
 }  // namespace fghp::exec

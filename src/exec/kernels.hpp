@@ -1,8 +1,7 @@
-// Hot-loop kernels of the compiled execution image, selected at compile
-// time: with FGHP_SIMD (CMake option, default ON for GCC/Clang, which also
-// adds -fopenmp-simd) the contiguous gathers carry `#pragma omp simd` and
-// the per-group accumulation loops are 4-wide unrolled; without it every
-// kernel is the plain scalar loop.
+// Hot-loop kernels of the compiled execution image: the contiguous gathers
+// carry `#pragma omp simd` (GCC/Clang builds add -fopenmp-simd, which honors
+// the pragma without any OpenMP runtime) and the per-group accumulation
+// loops are 4-wide unrolled.
 //
 // Bit-identity contract: the group kernels accumulate the four products of
 // an unrolled step in strict entry order (acc += p0; acc += p1; ...), so the
@@ -18,19 +17,13 @@
 
 #include "util/types.hpp"
 
-#if defined(FGHP_SIMD)
-#define FGHP_SIMD_LOOP _Pragma("omp simd")
-#else
-#define FGHP_SIMD_LOOP
-#endif
-
 namespace fghp::exec::kern {
 
 /// dst[i] = src[idx[i]] for i in [0, n). Pure gather into a contiguous
 /// destination: iterations are independent, so the loop may vectorize.
 inline void gather(double* dst, const double* src, const idx_t* idx,
                    std::size_t n) {
-  FGHP_SIMD_LOOP
+#pragma omp simd
   for (std::size_t i = 0; i < n; ++i)
     dst[i] = src[static_cast<std::size_t>(idx[i])];
 }
@@ -42,7 +35,6 @@ inline double row_dot(const double* vals, const idx_t* slots,
                       const double* rhs, idx_t begin, idx_t end) {
   double acc = 0.0;
   idx_t e = begin;
-#if defined(FGHP_SIMD)
   for (; e + 4 <= end; e += 4) {
     const std::size_t u = static_cast<std::size_t>(e);
     // Independent multiplies (vectorizable); ordered adds (not).
@@ -55,7 +47,6 @@ inline double row_dot(const double* vals, const idx_t* slots,
     acc += p2;
     acc += p3;
   }
-#endif
   for (; e < end; ++e)
     acc += vals[static_cast<std::size_t>(e)] *
            rhs[static_cast<std::size_t>(slots[static_cast<std::size_t>(e)])];
@@ -71,7 +62,6 @@ inline double pair_dot(const idx_t* lhsSlots, const double* lhs,
                        idx_t end) {
   double acc = 0.0;
   idx_t e = begin;
-#if defined(FGHP_SIMD)
   for (; e + 4 <= end; e += 4) {
     const std::size_t u = static_cast<std::size_t>(e);
     const double p0 = lhs[static_cast<std::size_t>(lhsSlots[u])] *
@@ -87,7 +77,6 @@ inline double pair_dot(const idx_t* lhsSlots, const double* lhs,
     acc += p2;
     acc += p3;
   }
-#endif
   for (; e < end; ++e) {
     const std::size_t u = static_cast<std::size_t>(e);
     acc += lhs[static_cast<std::size_t>(lhsSlots[u])] *

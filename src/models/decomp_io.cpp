@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/assert.hpp"
@@ -100,6 +101,9 @@ Decomposition read_decomposition(std::istream& in, const std::string& path) {
     std::string tag;
     long k = 0;
     if (!(hdr >> tag >> k) || tag != "procs" || k < 1) fail(path, lineNo, "bad procs line");
+    // Range-checked before the narrowing cast: a count idx_t cannot hold
+    // would otherwise wrap into a small valid-looking K.
+    if (k > std::numeric_limits<idx_t>::max()) fail(path, lineNo, "procs out of range");
     d.numProcs = static_cast<idx_t>(k);
   }
   {

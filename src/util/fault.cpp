@@ -104,7 +104,6 @@ const std::vector<std::string>& known_sites() {
       "hg.build",     // hypergraph construction from pin lists
       "mmio.open",    // opening a Matrix Market file for reading
       "mmio.read",    // Matrix Market entry parse (ordinal = entry index)
-      "perf.open",    // perf-counter group open (ordinal = 1-based open attempt)
       "rb.bisect",    // hypergraph recursive-bisection node (ordinal = part offset + 1)
       "rb.retry",     // hypergraph bisection retry attempt  (ordinal = part offset + 1)
       "watchdog.stall",  // simulated worker stall seen by the pool watchdog (ordinal = scan)

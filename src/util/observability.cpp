@@ -5,7 +5,6 @@
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
-#include "util/perf_counters.hpp"
 #include "util/trace.hpp"
 
 namespace fghp {
@@ -16,7 +15,6 @@ Observability::Observability(const ArgParser& args, const std::string& tool,
       metricsOut_(args.flag("metrics-out").value_or("")),
       reportOut_(args.flag("report-out").value_or("")) {
   if (!traceOut_.empty() || !reportOut_.empty()) trace::enable();
-  if (args.has_switch("perf")) perf::set_enabled(true);
   rep_ = std::make_unique<report::Builder>(tool, command);
 }
 

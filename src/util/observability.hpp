@@ -5,7 +5,6 @@
 //   --metrics-out FILE|-   flat metrics JSON ("-" = stdout)
 //   --report-out FILE|-    structured RunReport (implies tracing, so the
 //                          report has phases)
-//   --perf                 hardware counters where the kernel allows
 //
 // Construct before the measured work — the RunReport builder baselines the
 // metrics registry and the clocks — and end the run with finish() or fail().

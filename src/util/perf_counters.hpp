@@ -1,98 +1,18 @@
-// Hardware performance counters for profiling runs: one per-thread
-// perf_event_open(2) counter group measuring CPU cycles, retired
-// instructions, last-level-cache read misses and branch misses.
+// Compatibility shim for the retired hardware perf-counter subsystem.
 //
-// Layered gates, so every configuration degrades to the same observable
-// behavior (zeroed counters) without changing any computed result:
-//
-//  * Compile time — the FGHP_PERF CMake option (ON by default on Linux)
-//    defines the FGHP_PERF macro; with it OFF, or on a non-Linux target,
-//    every function here is a stub and compiled_in() is false.
-//  * Runtime availability — the first thread that tries to open the group
-//    probes the syscall once per process. Containers and locked-down CI
-//    commonly refuse it (EPERM under perf_event_paranoid, ENOENT when the
-//    PMU is not exposed); the probe then marks counters unavailable for the
-//    whole process and pushes a single warning. The fault site "perf.open"
-//    (ordinal = 1-based open attempt) forces this path deterministically in
-//    tests.
-//  * Runtime enablement — counters are off by default and turned on by the
-//    CLIs' --perf flag, the benches, or the FGHP_PERF=1 environment
-//    variable. While disabled, read_thread() is one relaxed atomic load.
-//
-// Counters only ever *observe* the computation — no result depends on them —
-// so traced/untraced and counted/uncounted runs are bit-identical, which
-// test_report pins across thread counts.
-//
-// Reading is a single read(2) into a stack buffer (no heap allocation), so
-// per-iteration sampling keeps the executor's zero-allocation contract.
-// Hot paths sample read_thread() around a region and accumulate the delta
-// into pre-resolved metrics counters; the RAII CounterScope is the
-// convenience wrapper for coarse phases (it resolves its metrics by name on
-// destruction, so it is not for per-iteration use).
+// The library no longer measures cycles or cache misses: every committed
+// number is a word count or a wall time, and the counters were refused on
+// every host the benchmarks run on. These three inline answers remain only
+// because perfbench/e2e.cpp's `# meta` line still calls them (and reports
+// `perf_counters: compiled-out`). perfbench/ changes only together with the
+// benchmark it defines, so the shim and that meta field go away together in
+// the next change to the benchmark.
 #pragma once
-
-#include <cstdint>
 
 namespace fghp::perf {
 
-/// One cumulative reading of the calling thread's counter group. Deltas of
-/// two valid samples measure the region between them; `valid` is false when
-/// counters are compiled out, disabled, or unavailable — all four values
-/// then read zero.
-struct Sample {
-  std::int64_t cycles = 0;
-  std::int64_t instructions = 0;
-  std::int64_t llcMisses = 0;
-  std::int64_t branchMisses = 0;
-  bool valid = false;
-};
-
-/// end - begin, component-wise; valid only when both samples are.
-Sample delta(const Sample& begin, const Sample& end);
-
-/// True when the library was built with FGHP_PERF on a Linux target.
-bool compiled_in();
-
-/// True once the calling process has successfully opened a counter group.
-/// The first call (with counters enabled) performs the probe; a refusal is
-/// cached process-wide and reported with one warning. Always false while
-/// enabled() is false — probing is never done behind the user's back.
-bool available();
-
-/// The runtime gate (--perf / FGHP_PERF=1 / set_enabled). Reading it is one
-/// relaxed atomic load.
-bool enabled();
-void set_enabled(bool on);
-
-/// Cumulative counters of the calling thread (each thread lazily opens its
-/// own group on first use). Invalid — all zeros — whenever any gate above is
-/// closed or the group cannot be opened.
-Sample read_thread();
-
-/// Test-only: closes the calling thread's group and clears the process-wide
-/// availability verdict and its once-only warning, so a test can re-probe
-/// under a "perf.open" fault spec.
-void reset_for_test();
-
-/// RAII profile of a coarse phase: samples at construction and destruction,
-/// accumulates the delta into the registered counters
-/// "perf.<name>.{cycles,instructions,llc_misses,branch_misses}" and — when
-/// tracing is on — records a "perf" trace span carrying the cycle and
-/// LLC-miss deltas. `name` must have static storage duration. A no-op
-/// whenever counters are disabled or unavailable. Resolves its metrics by
-/// name (allocating) on destruction: use it around phases, not iterations.
-class CounterScope {
- public:
-  explicit CounterScope(const char* name);
-  ~CounterScope();
-
-  CounterScope(const CounterScope&) = delete;
-  CounterScope& operator=(const CounterScope&) = delete;
-
- private:
-  const char* name_;
-  Sample begin_;
-  std::uint64_t startNs_ = 0;
-};
+inline bool compiled_in() { return false; }
+inline void set_enabled(bool) {}
+inline bool available() { return false; }
 
 }  // namespace fghp::perf

@@ -9,7 +9,6 @@
 
 #include "util/error.hpp"
 #include "util/json.hpp"
-#include "util/perf_counters.hpp"
 #include "util/table.hpp"
 #include "util/trace.hpp"
 
@@ -68,11 +67,6 @@ long long delta_counter(const metrics::Snapshot& cur, const metrics::Snapshot& b
   return it->second - (bit == base.counters.end() ? 0 : bit->second);
 }
 
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 }  // namespace
 
 Builder::Builder(std::string tool, std::string command)
@@ -126,8 +120,6 @@ RunReport Builder::build() const {
 
   struct PhaseAccum {
     std::uint64_t firstStart = std::numeric_limits<std::uint64_t>::max();
-    std::uint64_t minLo = std::numeric_limits<std::uint64_t>::max();
-    std::uint64_t maxHi = 0;
     long long spans = 0;
     std::map<std::uint32_t, std::vector<Interval>> byTid;
   };
@@ -143,8 +135,6 @@ RunReport Builder::build() const {
     const std::uint64_t hi = e.startNs + std::max<std::uint64_t>(e.durNs, 1);
     PhaseAccum& p = phases[e.name != nullptr ? e.name : ""];
     p.firstStart = std::min(p.firstStart, lo);
-    p.minLo = std::min(p.minLo, lo);
-    p.maxHi = std::max(p.maxHi, hi);
     ++p.spans;
     p.byTid[e.tid].push_back({lo, hi});
     workerIntervals[e.tid].push_back({lo, hi});
@@ -162,19 +152,24 @@ RunReport Builder::build() const {
     st.name = name;
     st.spans = p.spans;
     st.workers = static_cast<int>(p.byTid.size());
-    const std::uint64_t wallNs = p.maxHi - p.minLo;
-    st.wallMs = to_ms(wallNs);
+    // The phase's wall time is the union of its spans across all threads,
+    // not last end - first start: a phase that recurs between other phases
+    // (`initial` at every RB node) is not running in the gaps.
+    std::vector<Interval> all;
     std::uint64_t busyNs = 0, critNs = 0;
     for (auto& [tid, ivs] : p.byTid) {
       (void)tid;
+      all.insert(all.end(), ivs.begin(), ivs.end());
       const std::uint64_t u = union_ns(ivs);
       busyNs += u;
       critNs = std::max(critNs, u);
     }
+    const std::uint64_t wallNs = union_ns(all);
+    st.wallMs = to_ms(wallNs);
     st.busyMs = to_ms(busyNs);
     st.criticalPathMs = to_ms(critNs);
-    // Per-thread unions never exceed the phase wall, so this lands in
-    // (0, 1]; the min() only absorbs floating-point rounding.
+    // Per-thread unions never exceed the phase's all-thread union, so this
+    // lands in (0, 1]; the min() only absorbs floating-point rounding.
     st.parallelEfficiency = std::min(
         1.0, static_cast<double>(busyNs) /
                  (static_cast<double>(st.workers) * static_cast<double>(wallNs)));
@@ -212,18 +207,6 @@ RunReport Builder::build() const {
       d.sum -= bit->second.sum;
     }
     r.metricsDelta.histograms[name] = std::move(d);
-  }
-
-  // ---- perf -------------------------------------------------------------
-  r.perf.compiledIn = perf::compiled_in();
-  r.perf.enabled = perf::enabled();
-  r.perf.available = perf::enabled() && perf::available();
-  for (const auto& [name, v] : r.metricsDelta.counters) {
-    if (name.rfind("perf.", 0) != 0) continue;
-    if (ends_with(name, ".cycles")) r.perf.cycles += v;
-    else if (ends_with(name, ".instructions")) r.perf.instructions += v;
-    else if (ends_with(name, ".llc_misses")) r.perf.llcMisses += v;
-    else if (ends_with(name, ".branch_misses")) r.perf.branchMisses += v;
   }
 
   // ---- volume audit -----------------------------------------------------
@@ -315,17 +298,6 @@ void write_json(const RunReport& r, std::ostream& out) {
         .end_object();
   }
   w.end_array();
-
-  w.key("perf")
-      .begin_object()
-      .member("compiled_in", r.perf.compiledIn)
-      .member("enabled", r.perf.enabled)
-      .member("available", r.perf.available)
-      .member("cycles", r.perf.cycles)
-      .member("instructions", r.perf.instructions)
-      .member("llc_misses", r.perf.llcMisses)
-      .member("branch_misses", r.perf.branchMisses)
-      .end_object();
 
   w.key("volume_audit").begin_object().member("present", r.audit.present);
   if (r.audit.present) {
@@ -426,29 +398,9 @@ void render_file(const std::string& path, std::ostream& out) {
     out << t.to_string();
   }
 
-  const json::Value& perf = doc.at("perf");
-  out << "\nperf counters: ";
-  if (!perf.at("compiled_in").boolean) {
-    out << "compiled out (FGHP_PERF=OFF)\n";
-  } else if (!perf.at("enabled").boolean) {
-    out << "disabled (run with --perf)\n";
-  } else if (!perf.at("available").boolean) {
-    out << "unavailable on this kernel/container (counters read zero)\n";
-  } else {
-    const double cycles = perf.at("cycles").number;
-    const double instr = perf.at("instructions").number;
-    char line[256];
-    std::snprintf(line, sizeof line,
-                  "%.3g cycles, %.3g instructions (IPC %.2f), %.3g LLC misses, "
-                  "%.3g branch misses\n",
-                  cycles, instr, cycles > 0 ? instr / cycles : 0.0,
-                  perf.at("llc_misses").number, perf.at("branch_misses").number);
-    out << line;
-  }
-
   const json::Value& audit = doc.at("volume_audit");
   if (audit.at("present").boolean) {
-    out << "volume audit [" << audit.at("metric_prefix").str << "]: "
+    out << "\nvolume audit [" << audit.at("metric_prefix").str << "]: "
         << (audit.at("matches").boolean ? "MATCH" : "MISMATCH") << " — "
         << audit.at("iterations").as_int() << " iterations; expand "
         << audit.at("modeled_expand_words").as_int() << " modeled * iters vs "
@@ -458,7 +410,7 @@ void render_file(const std::string& path, std::ostream& out) {
         << audit.at("modeled_messages").as_int() << " vs "
         << audit.at("measured_messages").as_int() << "\n";
   } else {
-    out << "volume audit: not armed\n";
+    out << "\nvolume audit: not armed\n";
   }
 
   const json::Value& comm = doc.at("proc_comm");

@@ -6,7 +6,6 @@
 //    parallel efficiency (phase = every distinct span name; see DESIGN.md
 //    §16 for the formulas),
 //  * per-worker utilization and trace-drop accounting,
-//  * hardware-counter totals (util/perf_counters) with availability flags,
 //  * a modeled-vs-measured communication-volume audit: the paper's λ−1
 //    cutsize prices the volume exactly, so the executor's measured
 //    expand/fold word counters must equal comm::analyze's per-iteration
@@ -37,16 +36,18 @@
 
 namespace fghp::report {
 
-inline constexpr int kRunReportVersion = 1;
+/// Version 2 dropped the `perf` section and made a phase's wall_ms the union
+/// of its spans; `fghp_tool report` still renders version-1 files.
+inline constexpr int kRunReportVersion = 2;
 
 /// Aggregate over every span with one name. Efficiency = busy / (workers *
-/// wall), which is 1.0 when every participating thread was busy for the
-/// phase's whole wall-clock extent — by construction always in (0, 1].
+/// wall), which is 1.0 when every participating thread was busy whenever
+/// the phase was running on any thread — by construction always in (0, 1].
 struct PhaseStat {
   std::string name;
   long long spans = 0;             ///< span events aggregated
   int workers = 0;                 ///< distinct recording threads
-  double wallMs = 0.0;             ///< max end - min start over all spans
+  double wallMs = 0.0;             ///< union of all spans, across threads
   double busyMs = 0.0;             ///< per-thread interval-union, summed
   double criticalPathMs = 0.0;     ///< busiest single thread's union
   double parallelEfficiency = 1.0;
@@ -56,18 +57,6 @@ struct WorkerStat {
   std::uint32_t tid = 0;
   double busyMs = 0.0;       ///< union of all spans recorded by this thread
   double utilization = 0.0;  ///< busyMs / whole-run span extent, in (0, 1]
-};
-
-struct PerfStat {
-  bool compiledIn = false;
-  bool enabled = false;
-  bool available = false;
-  // Summed over every "perf.*" counter delta of the run (the per-scope and
-  // per-workload breakdown stays in the metrics section).
-  long long cycles = 0;
-  long long instructions = 0;
-  long long llcMisses = 0;
-  long long branchMisses = 0;
 };
 
 /// Modeled-vs-measured volume. Measured values are metric deltas of
@@ -117,7 +106,6 @@ struct RunReport {
 
   std::vector<PhaseStat> phases;    ///< ordered by first span start
   std::vector<WorkerStat> workers;  ///< ordered by tid
-  PerfStat perf;
   VolumeAudit audit;
   ProcCommStat comm;
 

@@ -193,6 +193,26 @@ TEST(DecompIo, Version1WithoutChecksumStillReads) {
   EXPECT_EQ(d.nnzOwner.size(), 2u);
 }
 
+TEST(DecompIo, ProcsWiderThanIdxIsFormatError) {
+  // 4294967298 = 2^32 + 2 would narrow to K = 2 and load as a valid 2-way
+  // decomposition; version 2's checksum cannot catch it either, because it
+  // hashes the narrowed count.
+  const std::string v1 =
+      "fghp-decomposition 1\nprocs 4294967298\nnnz 2\n0\n1\nvec 2\n0 0\n1 1\n";
+  std::string v2 = serialized(parse(
+      "fghp-decomposition 1\nprocs 2\nnnz 2\n0\n1\nvec 2\n0 0\n1 1\n"));
+  v2.replace(v2.find("procs 2"), 7, "procs 4294967298");
+  for (const std::string& text : {v1, v2}) {
+    try {
+      parse(text);
+      FAIL() << "expected FormatError for\n" << text;
+    } catch (const FormatError& e) {
+      EXPECT_NE(std::string(e.what()).find("procs out of range"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(DecompIo, TypedErrors) {
   EXPECT_THROW(parse("not a banner\n"), FormatError);
   EXPECT_THROW(read_decomposition_file("/nonexistent/x.decomp"), IoError);

@@ -131,7 +131,6 @@ TEST(DocumentPin, RunReportFilled) {
   r.traceDropped = 3;
   r.phases = {{"spmv.iteration", 6, 2, 1.5, 2.25, 1.25, 0.75}, {"partition", 1, 1, 8, 8, 8, 1}};
   r.workers = {{0, 9.5, 0.875}, {3, 0.5, 0.0625}};
-  r.perf = {true, true, false, 1234567890123, 7, 8, 9};
   r.audit = {true, "spmv", 3, 10, 4, 5, 30, 12, 14, false};
   r.comm = {true, {3, 5, 0}, {5, 0, 3}, 8, 8, 5.5, 45.5};
   r.metricsDelta.counters = {{"spmv.iterations", 3}, {"spmv.messages", 14}};
@@ -140,7 +139,7 @@ TEST(DocumentPin, RunReportFilled) {
   std::ostringstream os;
   report::write_json(r, os);
   expect_same_document(os.str(), R"({
-  "run_report_version": 1,
+  "run_report_version": 2,
   "tool": "fghp_tool",
   "command": "simulate",
   "status": "error",
@@ -160,7 +159,6 @@ TEST(DocumentPin, RunReportFilled) {
     {"tid": 0, "busy_ms": 9.5, "utilization": 0.875},
     {"tid": 3, "busy_ms": 0.5, "utilization": 0.0625}
   ],
-  "perf": {"compiled_in": true, "enabled": true, "available": false, "cycles": 1234567890123, "instructions": 7, "llc_misses": 8, "branch_misses": 9},
   "volume_audit": {"present": true, "metric_prefix": "spmv", "iterations": 3, "modeled_expand_words": 10, "modeled_fold_words": 4, "modeled_messages": 5, "measured_expand_words": 30, "measured_fold_words": 12, "measured_messages": 14, "matches": false},
   "proc_comm": {"present": true, "total_words": 8, "max_proc_words": 8, "avg_proc_words": 5.5, "imbalance_percent": 45.5, "send_words": [3,5,0], "recv_words": [5,0,3]},
   "metrics": {
@@ -183,7 +181,7 @@ TEST(DocumentPin, RunReportEmpty) {
   std::ostringstream os;
   report::write_json(report::RunReport{}, os);
   expect_same_document(os.str(), R"({
-  "run_report_version": 1,
+  "run_report_version": 2,
   "tool": "",
   "command": "",
   "status": "ok",
@@ -194,7 +192,6 @@ TEST(DocumentPin, RunReportEmpty) {
   "trace": {"enabled": false, "events": 0, "dropped": 0},
   "phases": [],
   "workers": [],
-  "perf": {"compiled_in": false, "enabled": false, "available": false, "cycles": 0, "instructions": 0, "llc_misses": 0, "branch_misses": 0},
   "volume_audit": {"present": false},
   "proc_comm": {"present": false},
   "metrics": {

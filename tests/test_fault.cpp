@@ -28,7 +28,6 @@
 #include "spmv/reference.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
-#include "util/perf_counters.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
@@ -465,19 +464,6 @@ TEST(FaultTracing, EveryKnownSiteEmitsExactlyOneInstantWhenArmed) {
     fault::ScopedSpec s("mmio.read:1");
     std::istringstream in(mtx);
     sparse::read_matrix_market(in, "mem");
-  };
-  triggers["perf.open"] = [] {
-    // Clear the cached availability verdict, then force the once-per-process
-    // open probe through the armed site (no ordinal: the open-attempt count
-    // is process-wide and depends on test order). One probe, one instant;
-    // the refusal is cached so the single read cannot re-fire.
-    fault::ScopedSpec s("perf.open");
-    perf::reset_for_test();
-    perf::set_enabled(true);
-    (void)perf::read_thread();
-    perf::set_enabled(false);
-    perf::reset_for_test();
-    drain_warnings();  // discard the expected single unavailability warning
   };
   // The geometric fast path shares the registry: geo.* arms the RB engine's
   // bisect/retry sites for the geometric traits. Same attempt-capping scheme

@@ -1,9 +1,8 @@
-// Observability stack tests: the perf-counter gates (compiled-out /
-// disabled / refused-open all degrade to zeroed samples with one warning and
-// change no computed result), the executor's per-iteration histogram, the
-// RunReport builder (phase analytics, modeled-vs-measured volume audit,
-// JSON round-trip, rendering), and watchdog stall attribution to the
-// worker's innermost active trace span.
+// Observability stack tests: the executor's per-iteration histogram,
+// bit-identity of traced and reported runs, the RunReport builder (phase
+// analytics, modeled-vs-measured volume audit, JSON round-trip, rendering),
+// and watchdog stall attribution to the worker's innermost active trace
+// span.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +15,8 @@
 
 #include "comm/volume.hpp"
 #include "models/checkerboard.hpp"
+#include "models/finegrain.hpp"
+#include "partition/config.hpp"
 #include "spmv/compiled.hpp"
 #include "spmv/plan.hpp"
 #include "sparse/testsuite.hpp"
@@ -23,7 +24,6 @@
 #include "util/fault.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
-#include "util/perf_counters.hpp"
 #include "util/report.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -45,81 +45,15 @@ std::vector<long long> to_ll(const std::vector<weight_t>& v) {
   return {v.begin(), v.end()};
 }
 
-/// Restores the default observability state (tracing off, counters off and
-/// un-probed, warning log drained) no matter how the test exits.
+/// Restores the default observability state (tracing off, warning log
+/// drained) no matter how the test exits.
 struct ObservabilityReset {
   ~ObservabilityReset() {
     trace::disable();
     trace::reset();
-    perf::set_enabled(false);
-    perf::reset_for_test();
     drain_warnings();
   }
 };
-
-// ------------------------------------------------------- perf gates ----
-
-TEST(PerfGates, DisabledReadIsInvalidAndNeverProbes) {
-  ObservabilityReset cleanup;
-  perf::reset_for_test();
-  perf::set_enabled(false);
-  const perf::Sample s = perf::read_thread();
-  EXPECT_FALSE(s.valid);
-  EXPECT_EQ(s.cycles, 0);
-  EXPECT_EQ(s.instructions, 0);
-  EXPECT_EQ(s.llcMisses, 0);
-  EXPECT_EQ(s.branchMisses, 0);
-  // available() must not probe behind a disabled gate, so no warning either.
-  EXPECT_FALSE(perf::available());
-  EXPECT_TRUE(drain_warnings().empty());
-}
-
-TEST(PerfGates, RefusedOpenDegradesToZerosWithSingleWarning) {
-  if (!perf::compiled_in()) GTEST_SKIP() << "built with FGHP_PERF=OFF";
-  ObservabilityReset cleanup;
-  drain_warnings();
-  perf::reset_for_test();
-  perf::set_enabled(true);
-  // No ordinal: the open-attempt counter is process-wide, so the attempt
-  // number this test sees depends on execution order.
-  fault::ScopedSpec spec("perf.open");
-  const perf::Sample s1 = perf::read_thread();
-  const perf::Sample s2 = perf::read_thread();
-  EXPECT_FALSE(s1.valid);
-  EXPECT_FALSE(s2.valid);
-  EXPECT_EQ(s1.cycles, 0);
-  EXPECT_FALSE(perf::available());  // refusal is cached process-wide
-  const std::vector<std::string> warnings = drain_warnings();
-  ASSERT_EQ(warnings.size(), 1u) << "refusal must warn exactly once";
-  EXPECT_NE(warnings[0].find("perf counters unavailable"), std::string::npos)
-      << warnings[0];
-}
-
-TEST(PerfGates, CounterScopeIsNoopWhileDisabled) {
-  ObservabilityReset cleanup;
-  perf::set_enabled(false);
-  const std::int64_t before = metrics::counter("perf.scope_test.cycles").value();
-  { perf::CounterScope scope("scope_test"); }
-  EXPECT_EQ(metrics::counter("perf.scope_test.cycles").value(), before);
-}
-
-TEST(PerfGates, DeltaRequiresBothSamplesValid) {
-  perf::Sample a;
-  a.valid = true;
-  a.cycles = 10;
-  a.instructions = 20;
-  perf::Sample b;
-  b.valid = true;
-  b.cycles = 25;
-  b.instructions = 60;
-  const perf::Sample d = perf::delta(a, b);
-  EXPECT_TRUE(d.valid);
-  EXPECT_EQ(d.cycles, 15);
-  EXPECT_EQ(d.instructions, 40);
-  b.valid = false;
-  EXPECT_FALSE(perf::delta(a, b).valid);
-  EXPECT_FALSE(perf::delta(b, a).valid);
-}
 
 // --------------------------------------------- executor instrumentation ----
 
@@ -160,14 +94,11 @@ TEST(BitIdentity, CountedAndReportedRunsMatchPlainAcrossThreadCounts) {
     plain.push_back(y);
   }
 
-  // Same runs with the whole observability stack on: tracing, counters
-  // (probing real hardware where the kernel allows, degrading to zeros
-  // otherwise) and a report builder. Results must be bit-identical.
+  // Same runs with the whole observability stack on: tracing, metrics and
+  // a report builder. Results must be bit-identical.
   ObservabilityReset cleanup;
   trace::enable();
   trace::reset();
-  perf::reset_for_test();
-  perf::set_enabled(true);
   report::Builder rep("test_report", "bit-identity");
   {
     spmv::ExecSession session(plan);
@@ -246,6 +177,31 @@ TEST(RunReport, EndToEndAuditMatchesCommAnalyze) {
   EXPECT_EQ(r.comm.sendWords.size(), cs.sendWords.size());
 }
 
+TEST(RunReport, SingleThreadPhaseWallIsTheUnionOfItsSpans) {
+  // One thread is never idle while a phase runs on it, so at T=1 every
+  // phase's efficiency is 1 — provided its wall time is the union of its
+  // spans, not first start to last end: `initial` recurs at every RB node,
+  // with coarsening and refinement in between.
+  const sparse::Csr a = sparse::make_matrix("sherman3", 1, 0.1);
+  ObservabilityReset cleanup;
+  trace::enable();
+  trace::reset();
+  report::Builder rep("test_report", "partition");
+  part::PartitionConfig cfg;
+  cfg.numThreads = 1;
+  model::run_finegrain(a, 8, cfg);
+  const report::RunReport r = rep.build();
+  ASSERT_FALSE(r.phases.empty());
+  bool sawInitial = false;
+  for (const report::PhaseStat& p : r.phases) {
+    sawInitial = sawInitial || p.name == "initial";
+    EXPECT_EQ(p.workers, 1) << p.name;
+    EXPECT_GE(p.parallelEfficiency, 0.999) << p.name;
+    EXPECT_NEAR(p.wallMs, p.busyMs, 1e-9) << p.name;
+  }
+  EXPECT_TRUE(sawInitial);
+}
+
 TEST(RunReport, FailurePathReportsError) {
   report::Builder rep("test_report", "fail");
   rep.set_error("boom");
@@ -269,7 +225,6 @@ TEST(RunReport, JsonRoundTrip) {
   EXPECT_EQ(doc.at("command").str, "roundtrip");
   EXPECT_EQ(doc.at("status").str, "ok");
   EXPECT_EQ(doc.at("info").at("k").str, "7");
-  EXPECT_EQ(doc.at("perf").at("compiled_in").boolean, perf::compiled_in());
   const json::Value& audit = doc.at("volume_audit");
   EXPECT_TRUE(audit.at("present").boolean);
   EXPECT_EQ(audit.at("modeled_expand_words").as_int(), 11);
@@ -289,9 +244,27 @@ TEST(RunReport, WriteFileAndRenderFile) {
   std::ostringstream out;
   report::render_file(path, out);
   const std::string text = out.str();
-  EXPECT_NE(text.find("RunReport v1: test_report render"), std::string::npos) << text;
+  EXPECT_NE(text.find("RunReport v2: test_report render"), std::string::npos) << text;
   EXPECT_NE(text.find("volume audit: not armed"), std::string::npos) << text;
-  EXPECT_NE(text.find("perf counters:"), std::string::npos) << text;
+
+  // A version-1 file (which also carried a "perf" section) still renders:
+  // the renderer reads nothing that version 2 dropped.
+  std::ostringstream v2;
+  report::write_json(rep.build(), v2);
+  std::string v1 = v2.str();
+  const std::string version = "\"run_report_version\":2,";
+  ASSERT_NE(v1.find(version), std::string::npos) << v1;
+  v1.replace(v1.find(version), version.size(),
+             "\"run_report_version\":1,\"perf\":{\"compiled_in\":false,"
+             "\"enabled\":false,\"available\":false,\"cycles\":0},");
+  {
+    std::ofstream f(path);
+    f << v1;
+  }
+  std::ostringstream outV1;
+  report::render_file(path, outV1);
+  EXPECT_NE(outV1.str().find("RunReport v1: test_report render"), std::string::npos)
+      << outV1.str();
   std::remove(path.c_str());
 }
 

@@ -1,6 +1,7 @@
-// fghp_tool's argument checks, run through the real binary: `partition`
-// rejects an out-of-range --k before it reads the matrix and a rectangular
-// matrix before it partitions, both with the usage exit code 2.
+// fghp_tool's argument checks, run through the real binary: `partition` and
+// `spgemm` reject an out-of-range --k before they read a matrix, and
+// `partition` rejects a rectangular matrix before it partitions, all with
+// the usage exit code 2.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -32,10 +33,13 @@ ToolRun run_tool(const std::string& args) {
 TEST(ToolPartition, KOutsideRangeIsUsageErrorBeforeReadingTheMatrix) {
   // The matrix does not exist: reaching the reader would exit 3 (I/O).
   const std::string missing = ::testing::TempDir() + "fghp_tool_no_such.mtx";
-  for (const char* k : {"0", "-3", "4097", "5000"}) {
-    const ToolRun r = run_tool("partition " + missing + " --k " + k);
-    EXPECT_EQ(r.exitCode, 2) << "--k " << k << ": " << r.output;
-    EXPECT_NE(r.output.find("--k must be in [1, 4096]"), std::string::npos) << r.output;
+  // 4294967298 = 2^32 + 2 must not narrow into K = 2.
+  for (const char* cmd : {"partition", "spgemm"}) {
+    for (const char* k : {"0", "-3", "4097", "5000", "4294967298"}) {
+      const ToolRun r = run_tool(std::string(cmd) + " " + missing + " --k " + k);
+      EXPECT_EQ(r.exitCode, 2) << cmd << " --k " << k << ": " << r.output;
+      EXPECT_NE(r.output.find("--k must be in [1, 4096]"), std::string::npos) << r.output;
+    }
   }
 }
 
