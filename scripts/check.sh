@@ -29,9 +29,11 @@ FGHP_THREADS=8 ./build-tsan/tests/test_fastpart
 echo "--- Address/UB sanitizers: file readers + compiled image ---"
 cmake -B build-asan -G Ninja -DFGHP_SANITIZE=address,undefined \
       -DFGHP_BUILD_BENCH=OFF -DFGHP_BUILD_EXAMPLES=ON > /dev/null
-cmake --build build-asan --target test_mmio test_decomp_io test_json test_sparse test_fault \
-      test_errors test_compiled fghp_tool
+cmake --build build-asan --target test_mmio test_mmio_fuzz test_decomp_io test_json test_sparse \
+      test_fault test_errors test_compiled fghp_tool
 ./build-asan/tests/test_mmio
+# Seeded mutants of small .mtx files: each parses or raises a typed error.
+./build-asan/tests/test_mmio_fuzz
 # Header counts and number spellings come from outside the program: a
 # declared count must never reach an allocation before its entries are read.
 ./build-asan/tests/test_decomp_io

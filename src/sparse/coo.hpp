@@ -1,6 +1,6 @@
 // Coordinate (triplet) sparse matrix format — the assembly/interchange
-// format. Generators and the Matrix Market reader produce COO; everything
-// else consumes CSR (see sparse/csr.hpp, sparse/convert.hpp).
+// format. Generators produce COO; everything else consumes CSR (see
+// sparse/csr.hpp, sparse/convert.hpp).
 #pragma once
 
 #include <vector>
@@ -44,8 +44,7 @@ class Coo {
   bool is_normalized() const;
 
   /// Mirror entries across the diagonal (a_ij -> also a_ji), skipping
-  /// diagonal entries; used to expand symmetric Matrix Market files and to
-  /// symmetrize generator output. Does not normalize.
+  /// diagonal entries. Does not normalize.
   void symmetrize();
 
  private:

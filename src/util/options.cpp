@@ -1,5 +1,6 @@
 #include "util/options.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -74,7 +75,14 @@ std::optional<std::string> ArgParser::flag(const std::string& name) const {
 long ArgParser::flag_long(const std::string& name, long fallback) const {
   const auto v = flag(name);
   if (!v) return fallback;
-  return std::stol(*v);
+  errno = 0;
+  char* end = nullptr;
+  const long x = std::strtol(v->c_str(), &end, 10);
+  if (end == v->c_str() || *end != '\0') {
+    throw std::invalid_argument("--" + name + " is not an integer: " + *v);
+  }
+  if (errno == ERANGE) throw std::invalid_argument("--" + name + " is out of range: " + *v);
+  return x;
 }
 
 bool ArgParser::has_switch(const std::string& name) const {

@@ -31,7 +31,9 @@ class ArgParser {
   /// Value of --name, or nullopt.
   std::optional<std::string> flag(const std::string& name) const;
 
-  /// Value of --name as long, or fallback.
+  /// Value of --name as long, or fallback. A value that is not a whole
+  /// integer, or does not fit a long, throws std::invalid_argument naming
+  /// the flag (the CLIs' usage exit code).
   long flag_long(const std::string& name, long fallback) const;
 
   /// Presence of a bare switch --name (no value).

@@ -1,7 +1,8 @@
 // fghp_tool's argument checks, run through the real binary: `partition` and
 // `spgemm` reject an out-of-range --k before they read a matrix, and
 // `partition` rejects a rectangular matrix before it partitions, all with
-// the usage exit code 2.
+// the usage exit code 2. A Matrix Market size line too large to allocate is
+// a format error (exit 4).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -18,8 +19,9 @@ struct ToolRun {
   std::string output;  ///< stdout and stderr
 };
 
-ToolRun run_tool(const std::string& args) {
-  const std::string cmd = std::string(FGHP_TOOL_PATH) + " " + args + " 2>&1";
+/// Runs a shell command line, capturing stdout and stderr.
+ToolRun run_shell(const std::string& command) {
+  const std::string cmd = command + " 2>&1";
   FILE* p = popen(cmd.c_str(), "r");
   if (p == nullptr) return {};
   ToolRun r;
@@ -28,6 +30,10 @@ ToolRun run_tool(const std::string& args) {
   const int status = pclose(p);
   if (WIFEXITED(status)) r.exitCode = WEXITSTATUS(status);
   return r;
+}
+
+ToolRun run_tool(const std::string& args) {
+  return run_shell(std::string(FGHP_TOOL_PATH) + " " + args);
 }
 
 TEST(ToolPartition, KOutsideRangeIsUsageErrorBeforeReadingTheMatrix) {
@@ -40,6 +46,10 @@ TEST(ToolPartition, KOutsideRangeIsUsageErrorBeforeReadingTheMatrix) {
       EXPECT_EQ(r.exitCode, 2) << cmd << " --k " << k << ": " << r.output;
       EXPECT_NE(r.output.find("--k must be in [1, 4096]"), std::string::npos) << r.output;
     }
+    // Beyond even a long: still a usage error, and it names the flag.
+    const ToolRun r = run_tool(std::string(cmd) + " " + missing + " --k 99999999999999999999");
+    EXPECT_EQ(r.exitCode, 2) << cmd << ": " << r.output;
+    EXPECT_NE(r.output.find("--k"), std::string::npos) << r.output;
   }
 }
 
@@ -61,6 +71,27 @@ TEST(ToolPartition, RectangularMatrixIsUsageError) {
   const ToolRun square = run_tool("partition " + mtx + " --k 2 --threads 1");
   EXPECT_EQ(square.exitCode, 0) << square.output;
   std::remove(mtx.c_str());
+}
+
+TEST(ToolStats, SizeLineTooLargeToAllocateIsFormatError) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizers reserve their shadow memory up front, so an address-space "
+                  "cap stops the tool before it starts";
+#else
+  // The row pointer of 2e9 rows needs 8 GB; under a 4 GB address-space cap
+  // its allocation fails, and that failure names the size line.
+  const std::string mtx = ::testing::TempDir() + "fghp_tool_big.mtx";
+  {
+    std::ofstream out(mtx);
+    out << "%%MatrixMarket matrix coordinate real general\n2000000000 2000000000 1\n1 1 1.0\n";
+  }
+  // The cap applies to the child shell and the tool it execs, not to this test.
+  const ToolRun r = run_shell("sh -c 'ulimit -v 4000000; exec \"" +
+                              std::string(FGHP_TOOL_PATH) + "\" stats " + mtx + "'");
+  EXPECT_EQ(r.exitCode, 4) << r.output;
+  EXPECT_NE(r.output.find("line 2"), std::string::npos) << r.output;
+  std::remove(mtx.c_str());
+#endif
 }
 
 }  // namespace
