@@ -6,7 +6,7 @@
 // machine where the paper's volumes dominate).
 //
 // Section (b): the iterative-solver view. For each matrix and K, a finegrain
-// decomposition is lowered once (spmv::compile_plan) and the repeated
+// decomposition is lowered once (exec::compile) and the repeated
 // y = A x iteration is timed two ways: the compiled serial session and the
 // compiled threaded session. Medians over FGHP_REPS iterations after
 // warmup. GFLOP/s counts 2 nnz flops per iteration; effective GB/s models
@@ -243,7 +243,7 @@ int main(int argc, char** argv) {
     for (idx_t kRoof : rc.ks) {
     const model::Decomposition d = model::checkerboard_decompose_k(a, kRoof);
     const spmv::SpmvPlan plan = spmv::build_plan(a, d);
-    spmv::validate_plan_or_throw(plan);
+    exec::validate_schedule_or_throw(plan);
     const std::vector<double> x = random_x(a.num_cols(), 23);
 
     spmv::CompileOptions noReorder;

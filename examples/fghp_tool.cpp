@@ -34,7 +34,7 @@
 // --metrics-out FILE|- (flat metrics JSON; "-" = stdout), --report-out
 // FILE|- (structured RunReport JSON — phase timings, parallel efficiency,
 // modeled-vs-measured volume audit; implies tracing so the report has
-// phases).
+// phases). Any option a command does not take is a usage error (exit 2).
 //
 // Exit codes follow fghp::ErrorCode: 0 success, 1 unknown error, 2 usage,
 // 3 io, 4 format, 5 invariant, 6 infeasible, 7 injected fault, 8 cancelled,
@@ -51,6 +51,7 @@
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "comm/volume.hpp"
@@ -109,14 +110,15 @@ int usage() {
                "            (1 <= K <= 4096, else exit 2)\n"
                "  report <report.json>   (render a saved --report-out file)\n"
                "  faults\n"
-               "every command also accepts:\n"
+               "every command also accepts (any other option is a usage error):\n"
                "  --trace-out FILE    Chrome trace-event JSON ('-' = stdout;\n"
                "                      FGHP_TRACE=FILE is the no-flag equivalent)\n"
                "  --metrics-out FILE  flat metrics JSON; '-' writes to stdout\n"
                "  --report-out FILE   structured RunReport JSON ('-' = stdout):\n"
                "                      phase wall/busy/critical-path times, parallel\n"
                "                      efficiency, modeled-vs-measured volume audit\n"
-               "  --timeout-ms MS     deadline on the whole command's work\n"
+               "  --timeout-ms MS     partition/simulate/spgemm: deadline on the\n"
+               "                      whole command's work\n"
                "                      (or FGHP_TIMEOUT_MS=MS; flag wins)\n"
                "partition degrades gracefully on an expiring deadline (still a\n"
                "valid, balanced decomposition; --no-degrade turns the deadline\n"
@@ -137,6 +139,13 @@ long resolve_timeout_ms(const ArgParser& args) {
   return -1;
 }
 
+/// Rejects any option outside the command's own and the observability flags
+/// every command takes (usage error, exit 2).
+void check_options(const ArgParser& args, std::vector<std::string_view> own) {
+  own.insert(own.end(), {"trace-out", "metrics-out", "report-out"});
+  args.reject_unknown(own);
+}
+
 /// --k, range-checked before any matrix is read: the volume analysis that
 /// follows every partition takes at most comm::kMaxProcs processors, and a
 /// wider value must not wrap into a small idx_t. Out of range is a usage
@@ -148,12 +157,14 @@ idx_t parse_k(const ArgParser& args) {
   return static_cast<idx_t>(k);
 }
 
-int cmd_faults() {
+int cmd_faults(const ArgParser& args) {
+  check_options(args, {});
   for (const auto& site : fault::known_sites()) std::printf("%s\n", site.c_str());
   return 0;
 }
 
 int cmd_report(const ArgParser& args) {
+  check_options(args, {});
   if (args.positional().size() < 2) return usage();
   report::render_file(args.positional()[1], std::cout);
   return 0;
@@ -164,6 +175,7 @@ std::vector<long long> to_ll(const std::vector<weight_t>& v) {
 }
 
 int cmd_gen(const ArgParser& args) {
+  check_options(args, {"out", "scale", "seed"});
   if (args.positional().size() < 2) return usage();
   const std::string name = args.positional()[1];
   const auto out = args.flag("out");
@@ -181,6 +193,7 @@ int cmd_gen(const ArgParser& args) {
 }
 
 int cmd_stats(const ArgParser& args) {
+  check_options(args, {});
   if (args.positional().size() < 2) return usage();
   const sparse::Csr a = sparse::read_matrix_market_file(args.positional()[1]);
   const sparse::MatrixStats s = sparse::compute_stats(a);
@@ -198,6 +211,8 @@ int cmd_stats(const ArgParser& args) {
 }
 
 int cmd_partition(const ArgParser& args, report::Builder& rep) {
+  check_options(args, {"model", "k", "eps", "seed", "method", "threads", "balance-vectors",
+                       "strict", "json", "fault-spec", "timeout-ms", "no-degrade", "out"});
   if (args.positional().size() < 2) return usage();
   WallTimer totalTimer;  // whole command: read + model build + partition + analysis
   const idx_t k = parse_k(args);
@@ -312,6 +327,7 @@ int cmd_partition(const ArgParser& args, report::Builder& rep) {
 }
 
 int cmd_simulate(const ArgParser& args, report::Builder& rep) {
+  check_options(args, {"reps", "threads", "timeout-ms"});
   if (args.positional().size() < 3) return usage();
   const sparse::Csr a = sparse::read_matrix_market_file(args.positional()[1]);
   const model::Decomposition d = model::read_decomposition_file(args.positional()[2]);
@@ -337,7 +353,7 @@ int cmd_simulate(const ArgParser& args, report::Builder& rep) {
       cancel::CancelToken::with_deadline_ms(resolve_timeout_ms(args));
 
   const spmv::SpmvPlan plan = spmv::build_plan(a, d, token);
-  spmv::validate_plan_or_throw(plan);  // d came from a file: distrust it
+  exec::validate_schedule_or_throw(plan);  // d came from a file: distrust it
   Rng rng(123);
   std::vector<double> x(static_cast<std::size_t>(a.num_cols()));
   for (auto& v : x) v = rng.uniform01();
@@ -372,6 +388,7 @@ int cmd_simulate(const ArgParser& args, report::Builder& rep) {
 }
 
 int cmd_spgemm(const ArgParser& args, report::Builder& rep) {
+  check_options(args, {"b-matrix", "k", "eps", "seed", "threads", "reps", "timeout-ms"});
   if (args.positional().size() < 2) return usage();
   const idx_t k = parse_k(args);
   const sparse::Csr a = sparse::read_matrix_market_file(args.positional()[1]);
@@ -471,7 +488,7 @@ int main(int argc, char** argv) {
     if (cmd == "simulate") rc = cmd_simulate(args, obs.report());
     if (cmd == "spgemm") rc = cmd_spgemm(args, obs.report());
     if (cmd == "report") rc = cmd_report(args);
-    if (cmd == "faults") rc = cmd_faults();
+    if (cmd == "faults") rc = cmd_faults(args);
   } catch (const std::exception& e) {
     print_warnings();
     return obs.fail(e);

@@ -4,13 +4,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
+# Every build below treats a compiler warning as an error.
+cmake -B build -G Ninja -DFGHP_WERROR=ON
 cmake --build build
 
 ctest --test-dir build --output-on-failure
 
 echo "--- ThreadSanitizer: task-parallel recursive bisection + tracing + cancel ---"
-cmake -B build-tsan -G Ninja -DFGHP_SANITIZE=thread \
+cmake -B build-tsan -G Ninja -DFGHP_SANITIZE=thread -DFGHP_WERROR=ON \
       -DFGHP_BUILD_BENCH=OFF -DFGHP_BUILD_EXAMPLES=OFF > /dev/null
 cmake --build build-tsan --target test_parallel_rb test_fastpart test_trace test_cancel \
       test_spgemm
@@ -27,16 +28,19 @@ FGHP_THREADS=8 ./build-tsan/tests/test_fastpart
 ./build-tsan/tests/test_spgemm
 
 echo "--- Address/UB sanitizers: file readers + compiled image ---"
-cmake -B build-asan -G Ninja -DFGHP_SANITIZE=address,undefined \
+cmake -B build-asan -G Ninja -DFGHP_SANITIZE=address,undefined -DFGHP_WERROR=ON \
       -DFGHP_BUILD_BENCH=OFF -DFGHP_BUILD_EXAMPLES=ON > /dev/null
-cmake --build build-asan --target test_mmio test_mmio_fuzz test_decomp_io test_json test_sparse \
-      test_fault test_errors test_compiled fghp_tool
+cmake --build build-asan --target test_mmio test_mmio_fuzz test_decomp_io test_decomp_fuzz \
+      test_json test_sparse test_fault test_errors test_compiled fghp_tool
 ./build-asan/tests/test_mmio
 # Seeded mutants of small .mtx files: each parses or raises a typed error.
 ./build-asan/tests/test_mmio_fuzz
 # Header counts and number spellings come from outside the program: a
 # declared count must never reach an allocation before its entries are read.
 ./build-asan/tests/test_decomp_io
+# Seeded mutants of small decomposition files: each loads or raises a typed
+# error, and one that loads and validates must plan and run.
+./build-asan/tests/test_decomp_fuzz
 ./build-asan/tests/test_json
 ./build-asan/tests/test_sparse
 ./build-asan/tests/test_fault

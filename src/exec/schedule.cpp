@@ -1,5 +1,7 @@
 #include "exec/schedule.hpp"
 
+#include <algorithm>
+#include <map>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -32,6 +34,34 @@ idx_t Schedule::total_messages() const {
     for (const SpaceComm& sc : space) msgs += static_cast<idx_t>(sc.sends.size());
   for (const SpaceComm& sc : outComm) msgs += static_cast<idx_t>(sc.sends.size());
   return msgs;
+}
+
+void build_space_comm(std::span<const idx_t> owner,
+                      std::vector<std::vector<idx_t>>& users, Flow flow,
+                      std::vector<SpaceComm>& comm) {
+  // (src, dst) -> ids; std::map iteration gives the deterministic message
+  // order and the ascending id walk keeps every id list strictly increasing.
+  std::map<std::pair<idx_t, idx_t>, std::vector<idx_t>> msgs;
+  for (std::size_t id = 0; id < owner.size(); ++id) {
+    const idx_t own = owner[id];
+    comm[uz(own)].owned.push_back(static_cast<idx_t>(id));
+    std::vector<idx_t>& u = users[id];
+    std::sort(u.begin(), u.end());
+    u.erase(std::unique(u.begin(), u.end()), u.end());
+    for (idx_t p : u) {
+      if (p == own) continue;
+      const auto key = flow == Flow::Expand ? std::pair{own, p} : std::pair{p, own};
+      msgs[key].push_back(static_cast<idx_t>(id));
+    }
+    std::vector<idx_t>().swap(u);
+  }
+  for (const auto& [key, ids] : msgs) {
+    const auto [src, dst] = key;
+    SpaceComm& sender = comm[uz(src)];
+    const auto sendIndex = static_cast<idx_t>(sender.sends.size());
+    sender.sends.push_back({dst, ids, kInvalidIdx});
+    comm[uz(dst)].recvs.push_back({src, ids, sendIndex});
+  }
 }
 
 std::vector<std::string> validate_schedule(const Schedule& s) {

@@ -5,9 +5,9 @@
 // A Schedule has N *input spaces* (SpMV: one, the x vector; SpGEMM: two, the
 // nonzeros of A and of B) and one *output space* (SpMV: the y vector;
 // SpGEMM: the nonzeros of C). Each space carries per-processor ownership
-// lists and an expand (inputs) or fold (output) message schedule — exactly
-// the ownedX/xSends/xRecvs and ownedY/ySends/yRecvs triples of the old
-// SpmvPlan, once per space. Each processor's compute phase is a flat list of
+// lists and an expand (inputs) or fold (output) message schedule, all built
+// by the one message builder below (build_space_comm), whatever the
+// workload. Each processor's compute phase is a flat list of
 // scalar tasks out[o] += lhs * rhs where rhs is gathered from an input
 // space and lhs is either a baked per-task constant (SpMV: the matrix
 // value) or gathered from a second input space (SpGEMM: the A value).
@@ -19,6 +19,7 @@
 // core (exec/compiled.hpp) executes both. DESIGN.md §14.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -89,6 +90,23 @@ struct Schedule {
   weight_t total_words() const;  ///< expand + fold send words, all spaces
   idx_t total_messages() const;  ///< directed messages, all spaces
 };
+
+/// Message direction of one space: input spaces expand (owner -> user), the
+/// output space folds (user -> owner).
+enum class Flow { Expand, Fold };
+
+/// The message builder every schedule builder shares. For one space of
+/// owner.size() ids, fills comm (one entry per processor): each processor's
+/// `owned` list in ascending id order, and one message per (src, dst)
+/// processor pair carrying, in ascending order, the ids that cross it — from
+/// owner[id] to every other processor in users[id] (Expand), or the reverse
+/// (Fold). Messages are appended in (src, dst) order, so the send and recv
+/// lists and every id list are deterministic and strictly increasing.
+/// users[id] lists the processors that use id (any order, repeats allowed);
+/// it is consumed.
+void build_space_comm(std::span<const idx_t> owner,
+                      std::vector<std::vector<idx_t>>& users, Flow flow,
+                      std::vector<SpaceComm>& comm);
 
 /// Returns a list of human-readable problems with a schedule (empty =
 /// valid):

@@ -39,7 +39,7 @@ struct BipartiteOrdering {
 /// are colIdx[rowPtr[r] .. rowPtr[r+1]). One BFS orders rows and columns
 /// jointly (min-degree seed per component, neighbors by increasing degree,
 /// final order reversed), so rows that share columns land near each other
-/// and vice versa — the cache-locality reordering spmv::compile_plan applies
+/// and vice versa — the cache-locality reordering exec::compile applies
 /// inside each processor's local block (DESIGN.md §12). Columns referenced
 /// by no row are legal; they sort to the end of the column permutation.
 BipartiteOrdering bipartite_rcm(idx_t nRows, idx_t nCols,

@@ -1,8 +1,6 @@
 #include "spgemm/plan.hpp"
 
-#include <algorithm>
 #include <array>
-#include <map>
 
 #include "util/assert.hpp"
 #include "util/trace.hpp"
@@ -50,82 +48,25 @@ exec::Schedule build_schedule(const TaskGraph& t, const SpgemmDecomposition& d) 
   s.outComm.resize(uz(K));
   s.tasks.resize(uz(K));
 
-  // Per-processor task lists in the canonical task order.
+  // Per-processor task lists in the canonical task order, plus the
+  // processors running a task that reads each entry of A or B (expand: owner
+  // -> reader) and computing a partial of each C entry (fold: contributor ->
+  // owner).
+  std::vector<std::vector<idx_t>> usersA(uz(t.numA)), usersB(uz(t.numB)),
+      usersC(uz(t.num_c()));
   for (idx_t w = 0; w < t.num_tasks(); ++w) {
-    exec::ProcTasks& pt = s.tasks[uz(d.taskOwner[uz(w)])];
+    const idx_t p = d.taskOwner[uz(w)];
+    exec::ProcTasks& pt = s.tasks[uz(p)];
     pt.outId.push_back(t.taskC[uz(w)]);
     pt.lhsId.push_back(t.taskA[uz(w)]);
     pt.rhsId.push_back(t.taskB[uz(w)]);
+    usersA[uz(t.taskA[uz(w)])].push_back(p);
+    usersB[uz(t.taskB[uz(w)])].push_back(p);
+    usersC[uz(t.taskC[uz(w)])].push_back(p);
   }
-
-  // Ownership lists in ascending id order.
-  for (idx_t e = 0; e < t.numA; ++e)
-    s.inComm[0][uz(d.aOwner[uz(e)])].owned.push_back(e);
-  for (idx_t f = 0; f < t.numB; ++f)
-    s.inComm[1][uz(d.bOwner[uz(f)])].owned.push_back(f);
-  for (idx_t g = 0; g < t.num_c(); ++g)
-    s.outComm[uz(d.cOwner[uz(g)])].owned.push_back(g);
-
-  // Expand needs: which processors run a task reading entry e but do not own
-  // its value (src = owner, dst = needer). Fold contributions: processors
-  // computing a partial of C entry g that they do not own (src = contributor,
-  // dst = owner). Mirrors spmv::build_plan.
-  std::vector<std::vector<idx_t>> need(uz(t.numA) + uz(t.numB) + uz(t.num_c()));
-  auto needA = [&](idx_t e) -> std::vector<idx_t>& { return need[uz(e)]; };
-  auto needB = [&](idx_t f) -> std::vector<idx_t>& { return need[uz(t.numA) + uz(f)]; };
-  auto contribC = [&](idx_t g) -> std::vector<idx_t>& {
-    return need[uz(t.numA) + uz(t.numB) + uz(g)];
-  };
-  for (idx_t w = 0; w < t.num_tasks(); ++w) {
-    const idx_t p = d.taskOwner[uz(w)];
-    needA(t.taskA[uz(w)]).push_back(p);
-    needB(t.taskB[uz(w)]).push_back(p);
-    contribC(t.taskC[uz(w)]).push_back(p);
-  }
-  auto dedupe = [](std::vector<idx_t>& v) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-  };
-
-  // Materialize messages; std::map iteration gives deterministic order and
-  // the ascending id emission keeps every id list strictly increasing.
-  std::map<std::pair<idx_t, idx_t>, std::vector<idx_t>> expandA, expandB, foldC;
-  for (idx_t e = 0; e < t.numA; ++e) {
-    auto& n = needA(e);
-    dedupe(n);
-    const idx_t owner = d.aOwner[uz(e)];
-    for (idx_t p : n)
-      if (p != owner) expandA[{owner, p}].push_back(e);
-  }
-  for (idx_t f = 0; f < t.numB; ++f) {
-    auto& n = needB(f);
-    dedupe(n);
-    const idx_t owner = d.bOwner[uz(f)];
-    for (idx_t p : n)
-      if (p != owner) expandB[{owner, p}].push_back(f);
-  }
-  for (idx_t g = 0; g < t.num_c(); ++g) {
-    auto& n = contribC(g);
-    dedupe(n);
-    const idx_t owner = d.cOwner[uz(g)];
-    for (idx_t p : n)
-      if (p != owner) foldC[{p, owner}].push_back(g);
-  }
-
-  auto emit = [](const std::map<std::pair<idx_t, idx_t>, std::vector<idx_t>>& msgs,
-                 std::vector<exec::SpaceComm>& comm) {
-    for (const auto& [key, ids] : msgs) {
-      const auto [src, dst] = key;
-      auto& sender = comm[uz(src)];
-      auto& receiver = comm[uz(dst)];
-      const auto sendIndex = static_cast<idx_t>(sender.sends.size());
-      sender.sends.push_back({dst, ids, kInvalidIdx});
-      receiver.recvs.push_back({src, ids, sendIndex});
-    }
-  };
-  emit(expandA, s.inComm[0]);
-  emit(expandB, s.inComm[1]);
-  emit(foldC, s.outComm);
+  exec::build_space_comm(d.aOwner, usersA, exec::Flow::Expand, s.inComm[0]);
+  exec::build_space_comm(d.bOwner, usersB, exec::Flow::Expand, s.inComm[1]);
+  exec::build_space_comm(d.cOwner, usersC, exec::Flow::Fold, s.outComm);
 
   return s;
 }

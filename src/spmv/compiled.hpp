@@ -1,8 +1,9 @@
 // SpMV-typed view of the workload-agnostic compiled execution core
 // (exec/compiled.hpp). A CompiledPlan *is* an exec::Image — the lowering of
-// the plan's schedule (one input space "x", output space "y", baked matrix
-// constants) — and ExecSession is exec::Session with the single-input
-// calling convention: run(x, y) instead of run({x}, y).
+// the plan (an exec::Schedule with one input space "x", output space "y",
+// baked matrix constants) by exec::compile — and ExecSession is
+// exec::Session with the single-input calling convention: run(x, y) instead
+// of run({x}, y).
 //
 // Everything documented on the generic core holds here unchanged: zero
 // allocation per serial iteration after the first, bit-identical serial/MT
@@ -34,21 +35,15 @@ using CompiledPlan = exec::Image;
 /// token checked once at the "plan.compile" phase boundary).
 using CompileOptions = exec::CompileOptions;
 
-/// Lowers a plan: exec::compile over to_schedule(plan). Throws
-/// fghp::InvariantError if the fold schedule references a row its processor
-/// never computes, or if the compiled send-buffer offsets fail to cover
-/// exactly plan.total_words() / plan.total_messages() (both indicate a
-/// corrupt plan).
-CompiledPlan compile_plan(const SpmvPlan& plan, const CompileOptions& opts = {});
-
-/// Owns a compiled image plus the scratch to execute it repeatedly.
-/// After the first run() the serial path performs zero heap allocations per
+/// Owns a compiled image plus the scratch to execute it repeatedly. The
+/// plan constructor lowers it with exec::compile, which throws
+/// fghp::InvariantError on a corrupt plan. After the first run() the serial path performs zero heap allocations per
 /// iteration (reuse the same y vector). Not thread-safe: one session per
 /// concurrent caller; run_mt parallelizes internally.
 class ExecSession {
  public:
   explicit ExecSession(const SpmvPlan& plan, const CompileOptions& opts = {})
-      : s_(compile_plan(plan, opts)) {}
+      : s_(plan, opts) {}
   explicit ExecSession(CompiledPlan compiled) : s_(std::move(compiled)) {}
 
   const CompiledPlan& compiled() const { return s_.image(); }

@@ -1,173 +1,52 @@
 #include "spmv/plan.hpp"
 
-#include <algorithm>
-#include <map>
-#include <sstream>
-
-#include "util/error.hpp"
 #include "util/trace.hpp"
 
 namespace fghp::spmv {
-
-weight_t SpmvPlan::total_words() const {
-  weight_t words = 0;
-  for (const auto& p : procs) {
-    for (const auto& m : p.xSends) words += static_cast<weight_t>(m.ids.size());
-    for (const auto& m : p.ySends) words += static_cast<weight_t>(m.ids.size());
-  }
-  return words;
-}
-
-idx_t SpmvPlan::total_messages() const {
-  idx_t msgs = 0;
-  for (const auto& p : procs)
-    msgs += static_cast<idx_t>(p.xSends.size() + p.ySends.size());
-  return msgs;
-}
 
 SpmvPlan build_plan(const sparse::Csr& a, const model::Decomposition& d,
                     const cancel::CancelToken& cancel) {
   trace::TraceScope span("spmv", "plan.build", "procs", d.numProcs, "nnz", a.nnz());
   cancel::check_point(cancel, "plan.build");
   model::validate(a, d);
-  const idx_t K = d.numProcs;
+  const auto K = static_cast<std::size_t>(d.numProcs);
   const idx_t n = a.num_rows();
 
-  SpmvPlan plan;
-  plan.numProcs = K;
-  plan.numRows = n;
-  plan.numCols = a.num_cols();
-  plan.procs.resize(static_cast<std::size_t>(K));
-
-  // Local nonzeros + ownership lists.
-  {
-    std::size_t e = 0;
-    for (idx_t i = 0; i < n; ++i) {
-      const auto cols = a.row_cols(i);
-      const auto vals = a.row_vals(i);
-      for (std::size_t k = 0; k < cols.size(); ++k, ++e) {
-        auto& pp = plan.procs[static_cast<std::size_t>(d.nnzOwner[e])];
-        pp.rows.push_back(i);
-        pp.cols.push_back(cols[k]);
-        pp.vals.push_back(vals[k]);
-      }
-    }
-  }
-  for (idx_t j = 0; j < a.num_cols(); ++j)
-    plan.procs[static_cast<std::size_t>(d.xOwner[static_cast<std::size_t>(j)])]
-        .ownedX.push_back(j);
-  for (idx_t i = 0; i < n; ++i)
-    plan.procs[static_cast<std::size_t>(d.yOwner[static_cast<std::size_t>(i)])]
-        .ownedY.push_back(i);
-
-  // Expand needs: which processors use column j. (src=owner, dst=needer, id=j)
-  // Fold contributions: (src=contributor, dst=y owner, id=i).
-  std::map<std::pair<idx_t, idx_t>, std::vector<idx_t>> expand, fold;
-  {
-    // Need sets per column / contributor sets per row, deduplicated.
-    std::vector<std::vector<idx_t>> colNeed(static_cast<std::size_t>(a.num_cols()));
-    std::vector<std::vector<idx_t>> rowContrib(static_cast<std::size_t>(n));
-    std::size_t e = 0;
-    for (idx_t i = 0; i < n; ++i) {
-      for (idx_t j : a.row_cols(i)) {
-        const idx_t p = d.nnzOwner[e++];
-        colNeed[static_cast<std::size_t>(j)].push_back(p);
-        rowContrib[static_cast<std::size_t>(i)].push_back(p);
-      }
-    }
-    auto dedupe = [](std::vector<idx_t>& v) {
-      std::sort(v.begin(), v.end());
-      v.erase(std::unique(v.begin(), v.end()), v.end());
-    };
-    for (idx_t j = 0; j < a.num_cols(); ++j) {
-      auto& need = colNeed[static_cast<std::size_t>(j)];
-      dedupe(need);
-      const idx_t owner = d.xOwner[static_cast<std::size_t>(j)];
-      for (idx_t p : need) {
-        if (p != owner) expand[{owner, p}].push_back(j);
-      }
-    }
-    for (idx_t i = 0; i < n; ++i) {
-      auto& contrib = rowContrib[static_cast<std::size_t>(i)];
-      dedupe(contrib);
-      const idx_t owner = d.yOwner[static_cast<std::size_t>(i)];
-      for (idx_t p : contrib) {
-        if (p != owner) fold[{p, owner}].push_back(i);
-      }
-    }
-  }
-
-  // Materialize messages; std::map iteration gives deterministic order.
-  auto emit = [&](const std::map<std::pair<idx_t, idx_t>, std::vector<idx_t>>& msgs,
-                  std::vector<Msg> ProcPlan::* sendList,
-                  std::vector<Msg> ProcPlan::* recvList) {
-    for (const auto& [key, ids] : msgs) {
-      const auto [src, dst] = key;
-      auto& sender = plan.procs[static_cast<std::size_t>(src)];
-      auto& receiver = plan.procs[static_cast<std::size_t>(dst)];
-      const auto sendIndex = static_cast<idx_t>((sender.*sendList).size());
-      (sender.*sendList).push_back({dst, ids, kInvalidIdx});
-      (receiver.*recvList).push_back({src, ids, sendIndex});
-    }
-  };
-  emit(expand, &ProcPlan::xSends, &ProcPlan::xRecvs);
-  emit(fold, &ProcPlan::ySends, &ProcPlan::yRecvs);
-
-  return plan;
-}
-
-exec::Schedule to_schedule(const SpmvPlan& plan) {
-  const std::size_t K = plan.procs.size();
   exec::Schedule s;
   s.traceCat = "spmv";
   s.traceIteration = "spmv.iteration";
   s.metricPrefix = "spmv";
-  s.numProcs = plan.numProcs;
-  s.inputs = {{"x", plan.numCols}};
-  s.output = {"y", plan.numRows};
+  s.numProcs = d.numProcs;
+  s.inputs = {{"x", a.num_cols()}};
+  s.output = {"y", n};
   s.lhsConst = true;
   s.rhsSpace = 0;
   s.inComm.assign(1, std::vector<exec::SpaceComm>(K));
   s.outComm.resize(K);
   s.tasks.resize(K);
-  for (std::size_t p = 0; p < K; ++p) {
-    const ProcPlan& pp = plan.procs[p];
-    s.inComm[0][p] = {pp.ownedX, pp.xSends, pp.xRecvs};
-    s.outComm[p] = {pp.ownedY, pp.ySends, pp.yRecvs};
-    s.tasks[p].outId = pp.rows;
-    s.tasks[p].rhsId = pp.cols;
-    s.tasks[p].constVals = pp.vals;
+
+  // Local nonzeros in CSR order, plus the processors using each column
+  // (expand: x owner -> user) and contributing to each row (fold: partial
+  // -> y owner).
+  std::vector<std::vector<idx_t>> colUsers(static_cast<std::size_t>(a.num_cols()));
+  std::vector<std::vector<idx_t>> rowUsers(static_cast<std::size_t>(n));
+  std::size_t e = 0;
+  for (idx_t i = 0; i < n; ++i) {
+    const auto cols = a.row_cols(i);
+    const auto vals = a.row_vals(i);
+    for (std::size_t k = 0; k < cols.size(); ++k, ++e) {
+      const idx_t p = d.nnzOwner[e];
+      exec::ProcTasks& t = s.tasks[static_cast<std::size_t>(p)];
+      t.outId.push_back(i);
+      t.rhsId.push_back(cols[k]);
+      t.constVals.push_back(vals[k]);
+      colUsers[static_cast<std::size_t>(cols[k])].push_back(p);
+      rowUsers[static_cast<std::size_t>(i)].push_back(p);
+    }
   }
+  exec::build_space_comm(d.xOwner, colUsers, exec::Flow::Expand, s.inComm[0]);
+  exec::build_space_comm(d.yOwner, rowUsers, exec::Flow::Fold, s.outComm);
   return s;
 }
 
-std::vector<std::string> validate_plan(const SpmvPlan& plan) {
-  const idx_t K = plan.numProcs;
-  if (static_cast<idx_t>(plan.procs.size()) != K) {
-    std::ostringstream os;
-    os << "plan has " << plan.procs.size() << " processor plans but numProcs = " << K;
-    return {os.str()};  // the lowering indexes procs by [0, K)
-  }
-  return exec::validate_schedule(to_schedule(plan));
-}
-
-void validate_plan_or_throw(const SpmvPlan& plan) {
-  const auto problems = validate_plan(plan);
-  if (problems.empty()) return;
-  std::ostringstream os;
-  os << "invalid SpMV plan:";
-  std::size_t shown = 0;
-  for (const auto& p : problems) {
-    os << "\n  - " << p;
-    if (++shown == 20 && problems.size() > 20) {
-      os << "\n  - ... and " << problems.size() - 20 << " more";
-      break;
-    }
-  }
-  ErrorContext ctx;
-  ctx.phase = "plan-validate";
-  throw InvariantError(os.str(), std::move(ctx));
-}
-
 }  // namespace fghp::spmv
-

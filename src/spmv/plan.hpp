@@ -1,16 +1,10 @@
-// Distributed SpMV plan: per-processor local nonzeros and the exact
-// expand/fold message schedules derived from a decomposition. The plan's
-// word/message totals are, by construction, the quantities comm::analyze
-// reports — the executors assert that equivalence at runtime.
-//
-// The plan is the SpMV-typed view of the workload: column/row vocabulary,
-// one struct per processor. Execution happens through its lowering to the
-// workload-agnostic exec::Schedule (to_schedule below): one input space "x",
-// output space "y", and one baked-constant task per nonzero — see
-// exec/schedule.hpp and DESIGN.md §14.
+// Distributed SpMV plan: the exec::Schedule of y = A x under a
+// decomposition — one input space "x" (expanded from the column owners),
+// output space "y" (partials folded to the row owners), and one
+// baked-constant task per nonzero. Its word/message totals are, by
+// construction, the quantities comm::analyze reports; the executors assert
+// that equivalence at runtime. See exec/schedule.hpp and DESIGN.md §14.
 #pragma once
-
-#include <vector>
 
 #include "exec/schedule.hpp"
 #include "models/decomposition.hpp"
@@ -19,65 +13,19 @@
 
 namespace fghp::spmv {
 
-/// One message of the schedule: the ids (column indices for expand, row
-/// indices for fold) whose values travel between `peer` and this processor.
-/// The recv-side pairIndex points at the matching entry in the peer's send
-/// list, exactly as in the generic schedule.
-using Msg = exec::Msg;
+/// The SpMV plan is the generic schedule: inputs = {"x" (numCols ids)},
+/// output = "y" (numRows ids), tasks[p] = processor p's local nonzeros in
+/// CSR order (outId = row, rhsId = col, constVals = value), inComm[0] /
+/// outComm = the expand / fold messages. Trace and metric labels are the
+/// "spmv" family.
+using SpmvPlan = exec::Schedule;
 
-struct ProcPlan {
-  /// Local nonzeros in global coordinates.
-  std::vector<idx_t> rows, cols;
-  std::vector<double> vals;
-
-  std::vector<idx_t> ownedX;  ///< columns whose x value this processor owns
-  std::vector<idx_t> ownedY;  ///< rows whose y value this processor owns
-
-  std::vector<Msg> xSends;  ///< expand phase, outgoing
-  std::vector<Msg> xRecvs;  ///< expand phase, incoming
-  std::vector<Msg> ySends;  ///< fold phase, outgoing partials
-  std::vector<Msg> yRecvs;  ///< fold phase, incoming partials
-};
-
-struct SpmvPlan {
-  idx_t numProcs = 0;
-  idx_t numRows = 0;
-  idx_t numCols = 0;
-  std::vector<ProcPlan> procs;
-
-  weight_t total_words() const;    ///< expand + fold words
-  idx_t total_messages() const;    ///< directed messages, both phases
-};
-
-/// Builds the schedules. Deterministic: ids inside every message and the
-/// messages themselves are sorted. The optional token is checked once at the
-/// phase boundary before any work (an inactive default token is free).
+/// Builds the plan. Deterministic: ids inside every message and the
+/// messages themselves are sorted (exec::build_space_comm). The optional
+/// token is checked once at the phase boundary before any work (an inactive
+/// default token is free). A plan built from an untrusted (file-loaded)
+/// decomposition should pass exec::validate_schedule_or_throw before it runs.
 SpmvPlan build_plan(const sparse::Csr& a, const model::Decomposition& d,
                     const cancel::CancelToken& cancel = {});
-
-/// Lowers the plan to the workload-agnostic execution schedule: input space
-/// "x" (numCols ids), output space "y" (numRows ids), per-processor
-/// ownership and expand/fold messages copied verbatim, and one
-/// baked-constant task per local nonzero (out = row, rhs = col, const =
-/// value) in local nonzero order. Pure restructuring — total on any input,
-/// no validation; trace/metric labels are the "spmv" family.
-exec::Schedule to_schedule(const SpmvPlan& plan);
-
-/// Returns a list of human-readable problems with a plan (empty = valid),
-/// via exec::validate_schedule on the lowered schedule:
-///  * proc count / index ranges inconsistent with numProcs/numRows/numCols,
-///  * ragged local nonzero arrays (rows/cols/vals length mismatch),
-///  * x or y ids owned by zero or multiple processors,
-///  * a recv whose pairIndex does not point back at the matching send
-///    (peer or id list disagrees),
-///  * a message whose id list is not strictly increasing — the sorted /
-///    deduplicated determinism contract build_plan guarantees and the
-///    compiled mailbox translation relies on.
-std::vector<std::string> validate_plan(const SpmvPlan& plan);
-
-/// Throws fghp::InvariantError listing all problems if validate_plan() is
-/// non-empty. Run by the tools before executing a plan built from an
-/// untrusted (file-loaded) decomposition.
-void validate_plan_or_throw(const SpmvPlan& plan);
 
 }  // namespace fghp::spmv

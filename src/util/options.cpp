@@ -85,6 +85,16 @@ long ArgParser::flag_long(const std::string& name, long fallback) const {
   return x;
 }
 
+void ArgParser::reject_unknown(const std::vector<std::string_view>& known) const {
+  auto check = [&](const std::string& name) {
+    for (std::string_view k : known)
+      if (k == name) return;
+    throw std::invalid_argument("unknown option --" + name);
+  };
+  for (const auto& [k, v] : flags_) check(k);
+  for (const auto& s : switches_) check(s);
+}
+
 bool ArgParser::has_switch(const std::string& name) const {
   for (const auto& s : switches_)
     if (s == name) return true;

@@ -6,6 +6,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fghp {
@@ -38,6 +39,11 @@ class ArgParser {
 
   /// Presence of a bare switch --name (no value).
   bool has_switch(const std::string& name) const;
+
+  /// Throws std::invalid_argument naming the first flag or switch whose name
+  /// is not in `known` (the CLIs' usage exit code), so a misspelt option is
+  /// an error rather than silently ignored.
+  void reject_unknown(const std::vector<std::string_view>& known) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 

@@ -282,7 +282,7 @@ TEST(ExecCancel, BuildAndCompileCheckTheToken) {
   EXPECT_THROW(spmv::build_plan(f.a, d, cancelled), CancelledError);
   spmv::CompileOptions copts;
   copts.cancel = cancel::CancelToken::with_deadline_ms(0);
-  EXPECT_THROW(spmv::compile_plan(f.plan, copts), DeadlineExceededError);
+  EXPECT_THROW(exec::compile(f.plan, copts), DeadlineExceededError);
 }
 
 TEST(ExecCancel, CancelledTokenStopsTheNextIteration) {

@@ -61,7 +61,7 @@ TEST(CompilePlan, ImageCoversPlanExactly) {
     const SpmvPlan plan = build_plan(a, d);
     CompileOptions copts;
     copts.cacheReorder = reorder;
-    const CompiledPlan c = compile_plan(plan, copts);
+    const CompiledPlan c = exec::compile(plan, copts);
     EXPECT_EQ(c.cacheReordered, reorder);
     if (!reorder) {
       EXPECT_EQ(c.reorderedProcs, 0);
@@ -98,16 +98,18 @@ TEST(CompilePlan, RejectsFoldOfUncomputedRow) {
   SpmvPlan plan = build_plan(a, d);
   // Corrupt: make some processor's fold send reference a row it never owns a
   // nonzero of. Find a proc with a ySend and splice in an impossible row.
-  for (auto& pp : plan.procs) {
-    if (pp.ySends.empty() || pp.rows.empty()) continue;
+  for (std::size_t p = 0; p < plan.tasks.size(); ++p) {
+    auto& ySends = plan.outComm[p].sends;
+    const auto& rows = plan.tasks[p].outId;
+    if (ySends.empty() || rows.empty()) continue;
     idx_t bogus = kInvalidIdx;
     std::vector<bool> has(static_cast<std::size_t>(a.num_rows()), false);
-    for (idx_t i : pp.rows) has[static_cast<std::size_t>(i)] = true;
+    for (idx_t i : rows) has[static_cast<std::size_t>(i)] = true;
     for (idx_t i = 0; i < a.num_rows(); ++i)
       if (!has[static_cast<std::size_t>(i)]) { bogus = i; break; }
     if (bogus == kInvalidIdx) continue;
-    pp.ySends.front().ids.push_back(bogus);
-    EXPECT_THROW(compile_plan(plan), InvariantError);
+    ySends.front().ids.push_back(bogus);
+    EXPECT_THROW(exec::compile(plan), InvariantError);
     return;
   }
   GTEST_SKIP() << "no processor suitable for corruption";
@@ -227,7 +229,7 @@ TEST(CacheReorder, BitIdenticalToUnreorderedImageAcrossSuite) {
     const sparse::Csr a = sparse::make_matrix(name, 1, 0.1);
     const model::Decomposition d = model::checkerboard_decompose_k(a, 8);
     const SpmvPlan plan = build_plan(a, d);
-    validate_plan_or_throw(plan);
+    exec::validate_schedule_or_throw(plan);
     const auto x = random_x(a.num_cols(), 60);
 
     CompileOptions noReorder;
@@ -254,7 +256,7 @@ TEST(CacheReorder, BitIdenticalUnderFaultRecovery) {
   const sparse::Csr a = sparse::make_matrix("sherman3", 1, 0.1);
   const auto d = model::checkerboard_decompose_k(a, 8);
   const SpmvPlan plan = build_plan(a, d);
-  validate_plan_or_throw(plan);
+  exec::validate_schedule_or_throw(plan);
   const auto x = random_x(a.num_cols(), 61);
   const auto clean = execute(plan, x);
 
@@ -292,12 +294,12 @@ TEST(CacheReorder, AdoptionIsScoreGuarded) {
       sparse::stencil2d(30, 30), rng.permutation(900));
   const SpmvPlan shuffledPlan =
       build_plan(mesh, model::checkerboard_decompose_k(mesh, 1));
-  EXPECT_GE(compile_plan(shuffledPlan).reorderedProcs, 1);
+  EXPECT_GE(exec::compile(shuffledPlan).reorderedProcs, 1);
 
   const sparse::Csr band = sparse::banded(400, 3);
   const SpmvPlan bandPlan =
       build_plan(band, model::checkerboard_decompose_k(band, 1));
-  EXPECT_EQ(compile_plan(bandPlan).reorderedProcs, 0);
+  EXPECT_EQ(exec::compile(bandPlan).reorderedProcs, 0);
 }
 
 // ------------------------------------------------------- scratch policy ----

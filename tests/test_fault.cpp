@@ -519,31 +519,36 @@ TEST(FaultTracing, EveryKnownSiteEmitsExactlyOneInstantWhenArmed) {
 
 TEST(PlanValidate, CleanPlanPasses) {
   const ExecFixture f(8);
-  EXPECT_TRUE(spmv::validate_plan(f.plan).empty());
-  EXPECT_NO_THROW(spmv::validate_plan_or_throw(f.plan));
+  EXPECT_TRUE(exec::validate_schedule(f.plan).empty());
+  EXPECT_NO_THROW(exec::validate_schedule_or_throw(f.plan));
 }
 
 TEST(PlanValidate, CorruptOwnershipCaught) {
   ExecFixture f(9);
-  ASSERT_FALSE(f.plan.procs[0].ownedX.empty());
-  f.plan.procs[0].ownedX.push_back(f.plan.procs[1].ownedX.empty()
-                                       ? f.plan.procs[0].ownedX.front()
-                                       : f.plan.procs[1].ownedX.front());
-  EXPECT_THROW(spmv::validate_plan_or_throw(f.plan), InvariantError);
+  auto& xComm = f.plan.inComm[0];
+  ASSERT_FALSE(xComm[0].owned.empty());
+  xComm[0].owned.push_back(xComm[1].owned.empty() ? xComm[0].owned.front()
+                                                  : xComm[1].owned.front());
+  try {
+    exec::validate_schedule_or_throw(f.plan);
+    FAIL() << "double ownership accepted";
+  } catch (const InvariantError& e) {
+    EXPECT_EQ(e.context().phase, "schedule-validate");
+  }
 }
 
 TEST(PlanValidate, MismatchedRecvCaught) {
   ExecFixture f(10);
   bool mutated = false;
-  for (auto& pp : f.plan.procs) {
-    if (!pp.xRecvs.empty() && !pp.xRecvs[0].ids.empty()) {
-      pp.xRecvs[0].ids[0] = pp.xRecvs[0].ids[0] + 1;
+  for (auto& sc : f.plan.inComm[0]) {
+    if (!sc.recvs.empty() && !sc.recvs[0].ids.empty()) {
+      sc.recvs[0].ids[0] = sc.recvs[0].ids[0] + 1;
       mutated = true;
       break;
     }
   }
   if (!mutated) GTEST_SKIP() << "decomposition produced no expand traffic";
-  EXPECT_THROW(spmv::validate_plan_or_throw(f.plan), InvariantError);
+  EXPECT_THROW(exec::validate_schedule_or_throw(f.plan), InvariantError);
 }
 
 TEST(PlanValidate, UnsortedMessageIdsCaught) {
@@ -554,27 +559,27 @@ TEST(PlanValidate, UnsortedMessageIdsCaught) {
   ExecFixture f(11);
   bool mutated = false;
   for (idx_t p = 0; p < f.plan.numProcs && !mutated; ++p) {
-    auto& pp = f.plan.procs[static_cast<std::size_t>(p)];
-    for (std::size_t s = 0; s < pp.xSends.size(); ++s) {
-      if (pp.xSends[s].ids.size() < 2) continue;
-      std::reverse(pp.xSends[s].ids.begin(), pp.xSends[s].ids.end());
-      auto& peer = f.plan.procs[static_cast<std::size_t>(pp.xSends[s].peer)];
-      for (auto& recv : peer.xRecvs) {
+    auto& sends = f.plan.inComm[0][static_cast<std::size_t>(p)].sends;
+    for (std::size_t s = 0; s < sends.size(); ++s) {
+      if (sends[s].ids.size() < 2) continue;
+      std::reverse(sends[s].ids.begin(), sends[s].ids.end());
+      auto& peer = f.plan.inComm[0][static_cast<std::size_t>(sends[s].peer)];
+      for (auto& recv : peer.recvs) {
         if (recv.peer == p && recv.pairIndex == static_cast<idx_t>(s))
-          recv.ids = pp.xSends[s].ids;
+          recv.ids = sends[s].ids;
       }
       mutated = true;
       break;
     }
   }
   if (!mutated) GTEST_SKIP() << "decomposition produced no multi-word message";
-  const auto problems = spmv::validate_plan(f.plan);
+  const auto problems = exec::validate_schedule(f.plan);
   ASSERT_FALSE(problems.empty());
   bool mentioned = false;
   for (const auto& msg : problems)
     mentioned = mentioned || msg.find("not strictly increasing") != std::string::npos;
   EXPECT_TRUE(mentioned);
-  EXPECT_THROW(spmv::validate_plan_or_throw(f.plan), InvariantError);
+  EXPECT_THROW(exec::validate_schedule_or_throw(f.plan), InvariantError);
 }
 
 TEST(PlanValidate, DuplicateMessageIdsCaught) {
@@ -583,21 +588,21 @@ TEST(PlanValidate, DuplicateMessageIdsCaught) {
   ExecFixture f(12);
   bool mutated = false;
   for (idx_t p = 0; p < f.plan.numProcs && !mutated; ++p) {
-    auto& pp = f.plan.procs[static_cast<std::size_t>(p)];
-    for (std::size_t s = 0; s < pp.ySends.size(); ++s) {
-      if (pp.ySends[s].ids.empty()) continue;
-      pp.ySends[s].ids.push_back(pp.ySends[s].ids.back());
-      auto& peer = f.plan.procs[static_cast<std::size_t>(pp.ySends[s].peer)];
-      for (auto& recv : peer.yRecvs) {
+    auto& sends = f.plan.outComm[static_cast<std::size_t>(p)].sends;
+    for (std::size_t s = 0; s < sends.size(); ++s) {
+      if (sends[s].ids.empty()) continue;
+      sends[s].ids.push_back(sends[s].ids.back());
+      auto& peer = f.plan.outComm[static_cast<std::size_t>(sends[s].peer)];
+      for (auto& recv : peer.recvs) {
         if (recv.peer == p && recv.pairIndex == static_cast<idx_t>(s))
-          recv.ids = pp.ySends[s].ids;
+          recv.ids = sends[s].ids;
       }
       mutated = true;
       break;
     }
   }
   if (!mutated) GTEST_SKIP() << "decomposition produced no fold traffic";
-  EXPECT_THROW(spmv::validate_plan_or_throw(f.plan), InvariantError);
+  EXPECT_THROW(exec::validate_schedule_or_throw(f.plan), InvariantError);
 }
 
 }  // namespace

@@ -97,7 +97,7 @@ TEST(Plan, LocalEntriesPartitionTheMatrix) {
   const SpmvPlan plan = build_plan(a, d);
   ASSERT_EQ(plan.numProcs, 5);
   std::size_t total = 0;
-  for (const auto& pp : plan.procs) total += pp.rows.size();
+  for (const auto& t : plan.tasks) total += t.outId.size();
   EXPECT_EQ(total, static_cast<std::size_t>(a.nnz()));
 }
 
@@ -106,9 +106,9 @@ TEST(Plan, OwnershipListsPartitionVectors) {
   const auto d = random_decomposition(a, 4, 5);
   const SpmvPlan plan = build_plan(a, d);
   std::vector<int> xSeen(60, 0), ySeen(60, 0);
-  for (const auto& pp : plan.procs) {
-    for (idx_t j : pp.ownedX) ++xSeen[static_cast<std::size_t>(j)];
-    for (idx_t i : pp.ownedY) ++ySeen[static_cast<std::size_t>(i)];
+  for (std::size_t p = 0; p < plan.outComm.size(); ++p) {
+    for (idx_t j : plan.inComm[0][p].owned) ++xSeen[static_cast<std::size_t>(j)];
+    for (idx_t i : plan.outComm[p].owned) ++ySeen[static_cast<std::size_t>(i)];
   }
   for (int c : xSeen) EXPECT_EQ(c, 1);
   for (int c : ySeen) EXPECT_EQ(c, 1);
@@ -129,15 +129,17 @@ TEST(Plan, RecvPairIndicesPointBack) {
   const sparse::Csr a = sparse::random_square(50, 5, 9);
   const auto d = random_decomposition(a, 4, 11);
   const SpmvPlan plan = build_plan(a, d);
+  const auto& xComm = plan.inComm[0];
+  const auto& yComm = plan.outComm;
   for (idx_t p = 0; p < plan.numProcs; ++p) {
-    for (const Msg& m : plan.procs[static_cast<std::size_t>(p)].xRecvs) {
-      const auto& peerSends = plan.procs[static_cast<std::size_t>(m.peer)].xSends;
+    for (const exec::Msg& m : xComm[static_cast<std::size_t>(p)].recvs) {
+      const auto& peerSends = xComm[static_cast<std::size_t>(m.peer)].sends;
       ASSERT_LT(static_cast<std::size_t>(m.pairIndex), peerSends.size());
       EXPECT_EQ(peerSends[static_cast<std::size_t>(m.pairIndex)].peer, p);
       EXPECT_EQ(peerSends[static_cast<std::size_t>(m.pairIndex)].ids, m.ids);
     }
-    for (const Msg& m : plan.procs[static_cast<std::size_t>(p)].yRecvs) {
-      const auto& peerSends = plan.procs[static_cast<std::size_t>(m.peer)].ySends;
+    for (const exec::Msg& m : yComm[static_cast<std::size_t>(p)].recvs) {
+      const auto& peerSends = yComm[static_cast<std::size_t>(m.peer)].sends;
       ASSERT_LT(static_cast<std::size_t>(m.pairIndex), peerSends.size());
       EXPECT_EQ(peerSends[static_cast<std::size_t>(m.pairIndex)].peer, p);
     }

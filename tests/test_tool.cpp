@@ -1,8 +1,8 @@
 // fghp_tool's argument checks, run through the real binary: `partition` and
 // `spgemm` reject an out-of-range --k before they read a matrix, and
 // `partition` rejects a rectangular matrix before it partitions, all with
-// the usage exit code 2. A Matrix Market size line too large to allocate is
-// a format error (exit 4).
+// the usage exit code 2, as is an option the command does not take. A Matrix
+// Market size line too large to allocate is a format error (exit 4).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -51,6 +51,31 @@ TEST(ToolPartition, KOutsideRangeIsUsageErrorBeforeReadingTheMatrix) {
     EXPECT_EQ(r.exitCode, 2) << cmd << ": " << r.output;
     EXPECT_NE(r.output.find("--k"), std::string::npos) << r.output;
   }
+}
+
+TEST(ToolOptions, UnknownOptionIsUsageError) {
+  const std::string mtx = ::testing::TempDir() + "fghp_tool_opts.mtx";
+  {
+    std::ofstream out(mtx);
+    out << "%%MatrixMarket matrix coordinate real general\n3 3 3\n1 1 1.0\n2 2 2.0\n3 3 3.0\n";
+  }
+  // A misspelt flag, an unknown switch, and a flag of another command.
+  for (const char* args : {"--model finegrain --kk 8", "--k 2 --bogus", "--k 2 --reps 3"}) {
+    const ToolRun r = run_tool("partition " + mtx + " " + args);
+    EXPECT_EQ(r.exitCode, 2) << args << ": " << r.output;
+    EXPECT_NE(r.output.find("unknown option --"), std::string::npos) << r.output;
+  }
+  const ToolRun stats = run_tool("stats " + mtx + " --k 2");
+  EXPECT_EQ(stats.exitCode, 2) << stats.output;
+  EXPECT_NE(stats.output.find("unknown option --k"), std::string::npos) << stats.output;
+
+  // Every command's own flags and the observability flags still pass.
+  const std::string metrics = ::testing::TempDir() + "fghp_tool_opts_metrics.json";
+  const ToolRun ok = run_tool("partition " + mtx + " --model finegrain --k 2 --threads 1 " +
+                              "--seed 3 --strict --metrics-out " + metrics);
+  EXPECT_EQ(ok.exitCode, 0) << ok.output;
+  std::remove(metrics.c_str());
+  std::remove(mtx.c_str());
 }
 
 TEST(ToolPartition, RectangularMatrixIsUsageError) {
