@@ -520,12 +520,16 @@ void Session::run_serial_impl(std::span<const std::span<const double>> ins,
   for (std::size_t w = 0; w < c_.out.sendId.size(); ++w)
     out[uz(c_.out.sendId[w])] += partial_[uz(c_.out.sendSlot[w])];
 
+  record_traffic(stats, 0);
+}
+
+void Session::record_traffic(ExecStats* stats, idx_t taskRetries) {
   if (stats != nullptr) {
     *stats = {};
     stats->wordsSent = c_.total_words();
     stats->messagesSent = c_.total_messages();
+    stats->taskRetries = taskRetries;
   }
-
   mIterations_->add();
   weight_t expandWords = 0;
   for (const InSpaceImage& im : c_.in) expandWords += im.sendOff.back();
@@ -557,23 +561,20 @@ void Session::run_mt(std::span<const std::span<const double>> ins,
   requested = std::min<long>(requested, static_cast<long>(K));
   ThreadPool* pool = ThreadPool::for_request(requested);
 
+  // Zeroed inside superstep 1, one fixed chunk per processor.
   out.resize(uz(c_.out.size));
-  std::fill(out.begin(), out.end(), 0.0);
 
-  // This run's traffic tallies are standalone metrics counters: the tasks
-  // below are the only writers, ExecStats reads them back, and the totals
-  // fold into the registered metrics once at the end — one source of truth
-  // instead of parallel hand-rolled atomics.
-  metrics::Counter expandWords, foldWords, messages, taskRetries;
+  // Words and messages are the image's totals, as on the serial path; only
+  // the recovery ladder needs per-run tallies.
+  metrics::Counter taskRetries;
   std::atomic<bool> failed{false};
 
   // Per-processor task wrapper: one retry (fault site `exec.retry`, same
   // ordinal), then give up and flag the run for the serial fallback. Task
-  // bodies are idempotent — every scratch word they touch is assigned, not
-  // accumulated, and the traffic counters commit only on their last line —
-  // so a retry after a partial first attempt cannot double-count or
-  // double-accumulate. The flag is read after the next barrier, so a failed
-  // superstep never feeds garbage into the next one. Each completed task is
+  // bodies are idempotent — every scratch and output word they touch is
+  // assigned, not accumulated — so a retry after a partial first attempt
+  // cannot double-accumulate. The flag is read after the next barrier, so a
+  // failed superstep never feeds garbage into the next one. Each completed task is
   // a trace span bracketed explicitly (begin/end on the worker that ran it).
   auto run_task = [&](const char* site, idx_t p, auto&& body) {
     // Name the in-flight work for watchdog stall attribution: the explicit
@@ -606,36 +607,31 @@ void Session::run_mt(std::span<const std::span<const double>> ins,
   };
 
   // One BSP superstep: fn(p) for every processor, fully joined before
-  // returning (parallel_for blocks until all tasks completed — that join is
-  // the barrier between supersteps). Serial resolution runs inline.
+  // returning (parallel_for returns once every index has finished — that
+  // join is the barrier between supersteps). Serial resolution runs inline.
   auto superstep = [&](auto&& fn) {
     if (pool != nullptr)
-      parallel_for(*pool, static_cast<long>(K),
-                   [&](long p) { fn(static_cast<idx_t>(p)); });
+      parallel_for(*pool, static_cast<long>(K), [&](long p) { fn(static_cast<idx_t>(p)); });
     else
       for (idx_t p = 0; p < K; ++p) fn(p);
   };
 
-  // Superstep 1: gather every input space's owned values into local slots
-  // and its expand buffer.
+  // Superstep 1: zero this processor's chunk of the output and gather every
+  // input space's expand buffer.
   superstep([&](idx_t p) {
     run_task("exec.expand", p, [&, p] {
+      std::fill(out.begin() + static_cast<std::ptrdiff_t>(out.size() * uz(p) / uz(K)),
+                out.begin() + static_cast<std::ptrdiff_t>(out.size() * (uz(p) + 1) / uz(K)),
+                0.0);
       idx_t sentTotal = 0;
-      idx_t msgs = 0;
       for (std::size_t sp = 0; sp < c_.in.size(); ++sp) {
         const InSpaceImage& im = c_.in[sp];
-        const std::span<const double> x = ins[sp];
-        for (idx_t w = im.ownOff[uz(p)]; w < im.ownOff[uz(p) + 1]; ++w)
-          inLoc_[sp][uz(im.ownSlot[uz(w)])] = x[uz(im.ownId[uz(w)])];
         const idx_t base = im.sendOff[uz(p)];
         const idx_t sent = im.sendOff[uz(p) + 1] - base;
-        kern::gather(inSendBuf_[sp].data() + base, x.data(), im.sendId.data() + base,
+        kern::gather(inSendBuf_[sp].data() + base, ins[sp].data(), im.sendId.data() + base,
                      uz(sent));
         sentTotal += sent;
-        msgs += im.sendMsgOff[uz(p) + 1] - im.sendMsgOff[uz(p)];
       }
-      expandWords.add(sentTotal);
-      messages.add(msgs);
       trace::counter(c_.traceCat, "expand.words", static_cast<double>(sentTotal),
                      "proc", p);
     });
@@ -647,13 +643,18 @@ void Session::run_mt(std::span<const std::span<const double>> ins,
   // iteration abandoned here leaves the session reusable.
   cancel::check_point(cancel_, "exec.superstep", nullptr, iter_);
 
-  // Superstep 2: drain the expand buffers, multiply locally, fill the fold
-  // buffer.
+  // Superstep 2: gather the owned inputs, drain the expand buffers, multiply
+  // locally, fill the fold buffer and write the own partials to the output.
+  // `0.0 +` is the serial path's += onto a zeroed output (-0.0 included),
+  // as an assignment so a retried task stays idempotent.
   if (!failed.load(std::memory_order_acquire)) {
     superstep([&](idx_t p) {
       run_task("exec.fold", p, [&, p] {
         for (std::size_t sp = 0; sp < c_.in.size(); ++sp) {
           const InSpaceImage& im = c_.in[sp];
+          const std::span<const double> x = ins[sp];
+          for (idx_t w = im.ownOff[uz(p)]; w < im.ownOff[uz(p) + 1]; ++w)
+            inLoc_[sp][uz(im.ownSlot[uz(w)])] = x[uz(im.ownId[uz(w)])];
           for (idx_t w = im.recvOff[uz(p)]; w < im.recvOff[uz(p) + 1]; ++w)
             inLoc_[sp][uz(im.recvSlot[uz(w)])] = inSendBuf_[sp][uz(im.recvSrc[uz(w)])];
         }
@@ -674,8 +675,8 @@ void Session::run_mt(std::span<const std::span<const double>> ins,
         const idx_t sent = c_.out.sendOff[uz(p) + 1] - base;
         kern::gather(outSendBuf_.data() + base, partial_.data(),
                      c_.out.sendSlot.data() + base, uz(sent));
-        foldWords.add(sent);
-        messages.add(c_.out.sendMsgOff[uz(p) + 1] - c_.out.sendMsgOff[uz(p)]);
+        for (idx_t w = c_.out.ownOff[uz(p)]; w < c_.out.ownOff[uz(p) + 1]; ++w)
+          out[uz(c_.out.ownId[uz(w)])] = 0.0 + partial_[uz(c_.out.ownSlot[uz(w)])];
         trace::counter(c_.traceCat, "fold.words", static_cast<double>(sent), "proc", p);
       });
     });
@@ -683,13 +684,11 @@ void Session::run_mt(std::span<const std::span<const double>> ins,
 
   cancel::check_point(cancel_, "exec.superstep", nullptr, iter_);
 
-  // Superstep 3: owners accumulate their own partial plus received partials
-  // in schedule order (same order as the serial path). Each output id has a
+  // Superstep 3: owners add the received partials in schedule order, after
+  // their own partial (same order as the serial path). Each output id has a
   // unique owner, so writes to the output are disjoint across processors.
   if (!failed.load(std::memory_order_acquire)) {
     superstep([&](idx_t p) {
-      for (idx_t w = c_.out.ownOff[uz(p)]; w < c_.out.ownOff[uz(p) + 1]; ++w)
-        out[uz(c_.out.ownId[uz(w)])] += partial_[uz(c_.out.ownSlot[uz(w)])];
       for (idx_t w = c_.out.recvOff[uz(p)]; w < c_.out.recvOff[uz(p) + 1]; ++w)
         out[uz(c_.out.recvId[uz(w)])] += outSendBuf_[uz(c_.out.recvSrc[uz(w)])];
     });
@@ -713,17 +712,7 @@ void Session::run_mt(std::span<const std::span<const double>> ins,
     return;
   }
 
-  mIterations_->add();
-  mExpandWords_->add(expandWords.value());
-  mFoldWords_->add(foldWords.value());
-  mMessages_->add(messages.value());
-
-  if (stats != nullptr) {
-    stats->wordsSent = static_cast<weight_t>(expandWords.value() + foldWords.value());
-    stats->messagesSent = static_cast<idx_t>(messages.value());
-    stats->taskRetries = static_cast<idx_t>(taskRetries.value());
-    stats->serialFallback = false;
-  }
+  record_traffic(stats, static_cast<idx_t>(taskRetries.value()));
   note_iteration(iterT0);
 }
 

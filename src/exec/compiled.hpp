@@ -15,8 +15,9 @@
 //    all message payloads pack into one flat buffer per space addressed by
 //    prefix offsets (the *Off arrays below),
 //  * Session owns the image plus the scratch vectors, so iterations after
-//    the first perform no heap allocation at all on the serial path (the
-//    threaded path still spawns its worker threads per call).
+//    the first perform no heap allocation at all, on the serial path and on
+//    the threaded one (its supersteps run on the shared pool's persistent
+//    team, which allocates nothing per call).
 //
 // Both execution paths are bit-identical to each other and across thread
 // counts: each task group accumulates in the schedule's task order and the
@@ -145,9 +146,10 @@ struct CompileOptions {
 Image compile(const Schedule& s, const CompileOptions& opts = {});
 
 /// Owns a compiled image plus the scratch to execute it repeatedly.
-/// After the first run() the serial path performs zero heap allocations per
-/// iteration (reuse the same output vector). Not thread-safe: one session
-/// per concurrent caller; run_mt parallelizes internally.
+/// After the first run() / run_mt() call, both paths perform zero heap
+/// allocations per iteration (reuse the same output vector). Not
+/// thread-safe: one session per concurrent caller; run_mt parallelizes
+/// internally.
 class Session {
  public:
   explicit Session(const Schedule& s, const CompileOptions& opts = {});
@@ -175,15 +177,21 @@ class Session {
   void run(std::span<const std::span<const double>> ins,
            std::vector<double>& out, ExecStats* stats = nullptr);
 
-  /// Threaded BSP iteration (expand / multiply / fold supersteps with a
-  /// full join between them). Workers come from the shared ThreadPool via
-  /// the standard resolution (`numThreads` if positive, else FGHP_THREADS /
-  /// hardware concurrency, capped at numProcs); when the request resolves
-  /// to one thread the supersteps run inline on the caller — no threads are
-  /// spawned, but the `exec.expand` / `exec.fold` / `exec.retry` fault
-  /// sites and the one-retry-then-serial-fallback ladder stay armed exactly
-  /// as in the threaded case. Output is bit-identical to run() at any
-  /// thread count.
+  /// Threaded BSP iteration: three supersteps with a full join between
+  /// them, each a parallel_for over the processors on the shared pool's
+  /// team (threads claim processors dynamically):
+  ///   1. `exec.expand` task: zero the processor's fixed chunk of the
+  ///      output, gather its expand send buffers;
+  ///   2. `exec.fold` task: gather its owned inputs, copy in the received
+  ///      ones, multiply, fill its fold send buffer, and assign its own
+  ///      partials to the output (`out[id] = 0.0 + partial`);
+  ///   3. owners add the received partials in schedule order.
+  /// The pool comes from the standard resolution (`numThreads` if positive,
+  /// else FGHP_THREADS / hardware concurrency, capped at numProcs); when the
+  /// request resolves to one thread the supersteps run inline on the caller,
+  /// but the `exec.expand` / `exec.fold` / `exec.retry` fault sites and the
+  /// one-retry-then-serial-fallback ladder stay armed exactly as in the
+  /// threaded case. Output is bit-identical to run() at any thread count.
   void run_mt(std::span<const std::span<const double>> ins,
               std::vector<double>& out, idx_t numThreads = 0,
               ExecStats* stats = nullptr);
@@ -194,6 +202,10 @@ class Session {
   /// iteration never consumes two check-point ordinals.
   void run_serial_impl(std::span<const std::span<const double>> ins,
                        std::vector<double>& out, ExecStats* stats);
+
+  /// Fills `stats` (when given) and the registered traffic metrics from the
+  /// image's totals, for one completed iteration.
+  void record_traffic(ExecStats* stats, idx_t taskRetries);
 
   /// Resolves the registered per-workload metrics once at construction (the
   /// references are process-lifetime), so iterations stay allocation-free.
@@ -209,7 +221,7 @@ class Session {
   // Scratch, sized and explicitly zero-filled once at construction
   // (assign, not resize: a moved-from or reused vector never carries stale
   // tail data into a differently-sized image). Every run_mt superstep
-  // assigns each word it later reads, so no per-iteration re-zero is
+  // assigns each scratch word it later reads, so no per-iteration re-zero is
   // needed; inSendBuf_/outSendBuf_ are the flat mailbox spaces of the MT
   // path, the serial path gathers/scatters directly and never touches them.
   std::vector<std::vector<double>> inLoc_, inSendBuf_;

@@ -6,10 +6,10 @@
 // of run({x}, y).
 //
 // Everything documented on the generic core holds here unchanged: zero
-// allocation per serial iteration after the first, bit-identical serial/MT
-// results at any thread count, the second-level cache-aware RCM reordering
-// (CompileOptions::cacheReorder), the `exec.*` fault/cancel sites and the
-// one-retry-then-serial-fallback ladder. Trace and metric names stay in the
+// allocation per iteration after the first (serial and threaded),
+// bit-identical serial/MT results at any thread count, the second-level
+// cache-aware RCM reordering (CompileOptions::cacheReorder), the `exec.*`
+// fault/cancel sites and the one-retry-then-serial-fallback ladder. Trace and metric names stay in the
 // "spmv" family ("spmv"/"spmv.iteration" spans, "spmv.iterations" etc.),
 // carried by the schedule's workload labels. DESIGN.md §12, §14.
 #pragma once
@@ -37,8 +37,9 @@ using CompileOptions = exec::CompileOptions;
 
 /// Owns a compiled image plus the scratch to execute it repeatedly. The
 /// plan constructor lowers it with exec::compile, which throws
-/// fghp::InvariantError on a corrupt plan. After the first run() the serial path performs zero heap allocations per
-/// iteration (reuse the same y vector). Not thread-safe: one session per
+/// fghp::InvariantError on a corrupt plan. After the first run() / run_mt()
+/// call, both paths perform zero heap allocations per iteration (reuse the
+/// same y vector). Not thread-safe: one session per
 /// concurrent caller; run_mt parallelizes internally.
 class ExecSession {
  public:
@@ -70,14 +71,16 @@ class ExecSession {
     s_.run(ins, y, stats);
   }
 
-  /// Threaded BSP y = A x (expand / multiply / fold supersteps with a full
-  /// join between them). Workers come from the shared ThreadPool via the
-  /// standard resolution (`numThreads` if positive, else FGHP_THREADS /
-  /// hardware concurrency, capped at numProcs); when the request resolves to
-  /// one thread the supersteps run inline on the caller — no threads are
-  /// spawned, but the `exec.expand` / `exec.fold` / `exec.retry` fault sites
-  /// and the one-retry-then-serial-fallback ladder stay armed exactly as in
-  /// the threaded case. Output is bit-identical to run() at any thread count.
+  /// Threaded BSP y = A x: exec::Session::run_mt's three supersteps (expand
+  /// and zero y; owned gather, multiply, fold send and own partials; add the
+  /// received partials), each a parallel_for on the shared pool's team.
+  /// Threads come from the shared ThreadPool via the standard resolution
+  /// (`numThreads` if positive, else FGHP_THREADS / hardware concurrency,
+  /// capped at numProcs); when the request resolves to one thread the
+  /// supersteps run inline on the caller, but the `exec.expand` /
+  /// `exec.fold` / `exec.retry` fault sites and the
+  /// one-retry-then-serial-fallback ladder stay armed exactly as in the
+  /// threaded case. Output is bit-identical to run() at any thread count.
   void run_mt(std::span<const double> x, std::vector<double>& y,
               idx_t numThreads = 0, ExecStats* stats = nullptr) {
     const std::array<std::span<const double>, 1> ins{x};

@@ -23,6 +23,40 @@ std::int64_t steady_now_ns() {
       .count();
 }
 
+/// How long a worker that just ran team work keeps polling for the next
+/// generation before it parks: longer than the gap between two supersteps,
+/// and than a short serial step between two executor iterations (a
+/// residual or result check over ~10^5 entries), short enough that an idle
+/// pool stops burning CPU at once. A parked worker costs the next superstep
+/// a condvar wake-up.
+constexpr std::int64_t kTeamSpinNs = 90'000;
+
+/// Spin-wait hint to the core (lets a hyperthread sibling run).
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+constexpr std::uint32_t team_gen(std::uint64_t claim) {
+  return static_cast<std::uint32_t>(claim >> 32);
+}
+
+/// Index bits of a finished generation: no index can be claimed from it.
+constexpr std::uint64_t kTeamClosed = 0xffffffffU;
+
+/// Rethrows collected task exceptions: one unchanged, several as an
+/// AggregateError; no-op when empty.
+void rethrow_collected(std::vector<std::exception_ptr>& errs) {
+  if (errs.empty()) return;
+  std::vector<std::exception_ptr> all;
+  all.swap(errs);
+  if (all.size() == 1) std::rethrow_exception(all.front());
+  throw AggregateError(std::move(all));
+}
+
 }  // namespace
 
 ThreadPool::ThreadPool(int totalThreads) {
@@ -49,6 +83,7 @@ void ThreadPool::shutdown() {
   {
     std::lock_guard<std::mutex> lk(mu_);
     workers_.clear();
+    numWorkers_.store(0, std::memory_order_release);
   }
 }
 
@@ -58,15 +93,21 @@ int ThreadPool::num_threads() const {
 }
 
 void ThreadPool::grow_to(int totalThreads) {
+  const auto want = static_cast<std::size_t>(std::max(0, totalThreads - 1));
+  // Every run_mt iteration resolves its pool through here: skip the lock
+  // when the pool is already big enough (shutdown() zeroes the count, so a
+  // stopped pool still reaches the throw below).
+  if (want > 0 && static_cast<std::size_t>(numWorkers_.load(std::memory_order_acquire)) >= want)
+    return;
   std::lock_guard<std::mutex> lk(mu_);
   if (stop_) throw InvariantError("grow_to on a stopped thread pool");
-  const auto want = static_cast<std::size_t>(std::max(0, totalThreads - 1));
   while (workers_.size() < want) {
     const std::size_t index = workers_.size();
     beats_.emplace_back();
     lastReported_.push_back(0);
     workers_.emplace_back([this, index] { worker_loop(index); });
   }
+  numWorkers_.store(static_cast<int>(workers_.size()), std::memory_order_release);
 }
 
 int ThreadPool::default_num_threads() {
@@ -183,6 +224,7 @@ void ThreadPool::enqueue(Task t) {
     std::lock_guard<std::mutex> lk(mu_);
     if (stop_) throw InvariantError("task enqueued on a stopped thread pool");
     queue_.push_back(std::move(t));
+    queued_.store(static_cast<long>(queue_.size()), std::memory_order_relaxed);
   }
   workReady_.notify_one();
 }
@@ -192,6 +234,7 @@ bool ThreadPool::try_steal(Task& out) {
   if (queue_.empty()) return false;
   out = std::move(queue_.back());
   queue_.pop_back();
+  queued_.store(static_cast<long>(queue_.size()), std::memory_order_relaxed);
   return true;
 }
 
@@ -220,22 +263,92 @@ void ThreadPool::worker_loop(std::size_t index) {
   // Mirror this worker's innermost active span name into the heartbeat so
   // the watchdog can attribute a stall to a phase, not just a worker index.
   trace::publish_activity(&beat.activity);
+  std::uint32_t seen = 0;  // last team generation this worker looked at
+  bool teamRecent = false;
   for (;;) {
+    if (team_join(seen, beat)) {
+      teamRecent = true;
+      continue;
+    }
+    // Supersteps come back to back: poll for the next one before parking.
+    if (teamRecent) {
+      teamRecent = false;
+      if (team_spin(seen)) continue;
+    }
     Task t;
     {
       std::unique_lock<std::mutex> lk(mu_);
-      workReady_.wait(lk, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) {  // stop_ set and nothing left to drain
-        trace::publish_activity(nullptr);
+      // parked_ and teamClaim_ are sequentially consistent on both sides:
+      // either parallel_for sees this worker parked and notifies under mu_,
+      // or this predicate sees the new generation.
+      const auto ready = [&] {
+        return stop_ || !queue_.empty() || team_gen(teamClaim_.load()) != seen;
+      };
+      if (!ready()) {
+        parked_.fetch_add(1);
+        workReady_.wait(lk, ready);
+        parked_.fetch_sub(1);
+      }
+      if (queue_.empty()) {
+        if (!stop_) continue;  // woken for a team generation
+        trace::publish_activity(nullptr);  // stop_ set and nothing left to drain
         return;
       }
       t = std::move(queue_.front());
       queue_.pop_front();
+      queued_.store(static_cast<long>(queue_.size()), std::memory_order_relaxed);
     }
     beat.seq.fetch_add(1, std::memory_order_relaxed);
     beat.busySinceNs.store(steady_now_ns(), std::memory_order_release);
     run_task(t);
     beat.busySinceNs.store(0, std::memory_order_release);
+  }
+}
+
+bool ThreadPool::team_join(std::uint32_t& seen, Beat& beat) {
+  const std::uint32_t gen = team_gen(teamClaim_.load(std::memory_order_acquire));
+  if (gen == seen) return false;
+  seen = gen;
+  beat.seq.fetch_add(1, std::memory_order_relaxed);
+  beat.busySinceNs.store(steady_now_ns(), std::memory_order_release);
+  team_work(gen, teamJob_.load(std::memory_order_acquire),
+            teamN_.load(std::memory_order_acquire));
+  beat.busySinceNs.store(0, std::memory_order_release);
+  return true;
+}
+
+bool ThreadPool::team_spin(std::uint32_t seen) const {
+  const std::int64_t until = steady_now_ns() + kTeamSpinNs;
+  do {
+    for (int i = 0; i < 64; ++i) {
+      if (team_gen(teamClaim_.load(std::memory_order_relaxed)) != seen) return true;
+      if (queued_.load(std::memory_order_relaxed) > 0) return false;
+      cpu_relax();
+    }
+  } while (steady_now_ns() < until);
+  return false;
+}
+
+void ThreadPool::team_work(std::uint32_t gen, const IndexFn* fn, long n) {
+  std::uint64_t claim = teamClaim_.load(std::memory_order_acquire);
+  for (;;) {
+    const auto i = static_cast<long>(claim & 0xffffffffU);
+    if (team_gen(claim) != gen || i >= n) return;
+    if (!teamClaim_.compare_exchange_weak(claim, claim + 1, std::memory_order_acq_rel))
+      continue;
+    // The claim succeeded on generation `gen` with an index below `n`, so
+    // `fn` and `n` are that generation's: fields of a later job are written
+    // only after `gen` is closed, and reading them (acquire) would have made
+    // the close visible, failing the claim. The unfinished index then pins
+    // `gen`: its owner waits for it before closing.
+    try {
+      (*fn)(i);
+    } catch (...) {
+      std::lock_guard<std::mutex> lk(teamErrMu_);
+      teamErrs_.push_back(std::current_exception());
+    }
+    teamDone_.fetch_add(1, std::memory_order_release);
+    claim = teamClaim_.load(std::memory_order_acquire);
   }
 }
 
@@ -291,25 +404,59 @@ void TaskGroup::wait() {
     done_.wait_for(lk, std::chrono::microseconds(200), [this] { return pending_ == 0; });
   }
   std::lock_guard<std::mutex> lk(mu_);
-  if (!errs_.empty()) {
-    std::vector<std::exception_ptr> errs;
-    errs.swap(errs_);
-    if (errs.size() == 1) std::rethrow_exception(errs.front());
-    throw AggregateError(std::move(errs));
-  }
+  rethrow_collected(errs_);
 }
 
-void parallel_for(ThreadPool& pool, long n, const std::function<void(long)>& fn) {
+void parallel_for(ThreadPool& pool, long n, IndexFn fn) {
   if (n <= 0) return;
-  if (n == 1 || pool.num_threads() <= 1) {
-    for (long i = 0; i < n; ++i) fn(i);
+  bool owner = false;
+  if (n > 1 && n < static_cast<long>(kTeamClosed) && pool.numWorkers_.load(std::memory_order_acquire) > 0)
+    owner = !pool.teamBusy_.exchange(true, std::memory_order_acquire);
+  if (!owner) {
+    std::vector<std::exception_ptr> errs;
+    for (long i = 0; i < n; ++i) {
+      try {
+        fn(i);
+      } catch (...) {
+        errs.push_back(std::current_exception());
+      }
+    }
+    rethrow_collected(errs);
     return;
   }
-  TaskGroup group(pool);
-  for (long i = 0; i < n; ++i) {
-    group.run([i, &fn] { fn(i); });
+  // Publish: job fields first, then the new generation with index 0. Only
+  // the owner changes the generation bits, so the next one is read off the
+  // counter itself.
+  const std::uint32_t gen =
+      team_gen(pool.teamClaim_.load(std::memory_order_relaxed)) + 1;
+  pool.teamDone_.store(0, std::memory_order_relaxed);
+  pool.teamJob_.store(&fn, std::memory_order_release);
+  pool.teamN_.store(n, std::memory_order_release);
+  pool.teamClaim_.store(static_cast<std::uint64_t>(gen) << 32);
+  if (pool.parked_.load() > 0) {
+    { std::lock_guard<std::mutex> lk(pool.mu_); }
+    pool.workReady_.notify_all();
   }
-  group.wait();
+  pool.team_work(gen, &fn, n);
+  // Every index is claimed; wait for the ones still running elsewhere.
+  for (int spins = 0; pool.teamDone_.load(std::memory_order_acquire) < n; ++spins) {
+    if (spins < 1024)
+      cpu_relax();
+    else
+      std::this_thread::yield();
+  }
+  // Close the generation before the team is released: a worker that read
+  // `gen` but has not claimed yet must fail its claim rather than pair this
+  // generation with the next call's job and index count.
+  pool.teamClaim_.store((static_cast<std::uint64_t>(gen) << 32) | kTeamClosed,
+                        std::memory_order_release);
+  std::vector<std::exception_ptr> errs;
+  {
+    std::lock_guard<std::mutex> lk(pool.teamErrMu_);
+    errs.swap(pool.teamErrs_);
+  }
+  pool.teamBusy_.store(false, std::memory_order_release);
+  rethrow_collected(errs);
 }
 
 }  // namespace fghp

@@ -1,12 +1,21 @@
-// Work-stealing task pool for the task-parallel partitioner stages.
+// The shared thread pool. Its workers serve two kinds of work:
 //
-// Recursive bisection is a fork-join tree: after one bisection the two
-// sub-hypergraphs are fully independent, so each recursion level forks the
-// two sides as tasks. The pool keeps one shared two-ended deque: workers
-// take from the FIFO end (oldest = biggest subtrees), while a thread waiting
-// on a TaskGroup steals from the LIFO end (newest = its own freshly forked
-// children) — the scheduling order of a per-thread work-stealing deque with
-// far less machinery, which is plenty because partitioner tasks are coarse.
+// * Fork-join tasks (TaskGroup) for the task-parallel partitioner stages.
+//   Recursive bisection is a fork-join tree: after one bisection the two
+//   sub-hypergraphs are fully independent, so each recursion level forks the
+//   two sides as tasks. The pool keeps one shared two-ended deque: workers
+//   take from the FIFO end (oldest = biggest subtrees), while a thread
+//   waiting on a TaskGroup steals from the LIFO end (newest = its own freshly
+//   forked children) — the scheduling order of a per-thread work-stealing
+//   deque with far less machinery, which is plenty because partitioner tasks
+//   are coarse.
+// * Team loops (parallel_for) for the executor's BSP supersteps, which are
+//   short and run back to back. The caller publishes one job per call; every
+//   thread, the caller included, claims indices from one atomic counter, and
+//   the call returns when all indices have finished. No allocation, lock or
+//   queue node per index. A worker that just ran team work spins for a short
+//   constant time before parking, so the next superstep finds it awake; it
+//   leaves the spin early when a fork-join task is queued.
 //
 // Determinism: the pool never makes scheduling visible to the algorithms —
 // every fghp use pre-derives its per-task Rng streams before forking and
@@ -18,11 +27,12 @@
 //
 // Watchdog: set_watchdog_ms (or FGHP_WATCHDOG_MS) arms a monitor thread
 // with a stall threshold. Workers publish per-task heartbeats (task start
-// time + a task sequence number); the monitor scans them every half
-// threshold and, when a worker has been inside one task for longer than the
-// threshold, emits a trace instant + watchdog.stalls metric and dumps the
-// in-flight task state to stderr — once per (worker, task), so a genuinely
-// stuck task does not flood the log. The watchdog never kills anything: the
+// time + a task sequence number; each team job a worker joins counts as one
+// task); the monitor scans them every half threshold and, when a worker has
+// been inside one task for longer than the threshold, emits a trace
+// instant + watchdog.stalls metric and dumps the in-flight task state to
+// stderr — once per (worker, task), so a genuinely stuck task does not
+// flood the log. The watchdog never kills anything: the
 // pipeline's cancellation layer (util/cancel.hpp) is the cooperative path
 // out, the watchdog is the flight recorder for tasks that stopped
 // cooperating. The site "watchdog.stall" (ordinal = scan number) simulates
@@ -37,11 +47,30 @@
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace fghp {
 
 class TaskGroup;
+
+/// Non-owning reference to a callable taking a loop index, for
+/// parallel_for. Unlike std::function it never allocates; the callable must
+/// outlive the call it is passed to (a lambda argument does).
+class IndexFn {
+ public:
+  template <class F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, IndexFn>)
+  IndexFn(F&& f)  // implicit: a lambda argument converts
+      : ctx_(const_cast<void*>(static_cast<const void*>(&f))),
+        call_([](void* ctx, long i) { (*static_cast<std::remove_reference_t<F>*>(ctx))(i); }) {}
+
+  void operator()(long i) const { call_(ctx_, i); }
+
+ private:
+  void* ctx_;
+  void (*call_)(void*, long);
+};
 
 class ThreadPool {
  public:
@@ -63,7 +92,7 @@ class ThreadPool {
   /// Stops accepting work, drains the queue, and joins every worker and the
   /// watchdog thread. Idempotent; also run by the destructor. Forking
   /// through the pool afterwards is a typed InvariantError, never undefined
-  /// behavior.
+  /// behavior; parallel_for then runs inline.
   void shutdown();
 
   /// Arms (ms > 0) or disarms (ms <= 0) the stall watchdog. The monitor
@@ -92,6 +121,7 @@ class ThreadPool {
 
  private:
   friend class TaskGroup;
+  friend void parallel_for(ThreadPool& pool, long n, IndexFn fn);
 
   struct Task {
     std::function<void()> fn;
@@ -100,7 +130,8 @@ class ThreadPool {
 
   /// Per-worker heartbeat, written by the worker without locks and read by
   /// the watchdog. busySinceNs == 0 means idle; seq increments at each task
-  /// start so the watchdog can tell "same stuck task" from "new task".
+  /// start (and each team job joined) so the watchdog can tell "same stuck
+  /// task" from "new task".
   /// activity mirrors the worker's innermost active trace-span name
   /// (trace::publish_activity) so a stall report can say *what* is stuck,
   /// not just which worker; the strings have static storage duration.
@@ -117,9 +148,22 @@ class ThreadPool {
   void worker_loop(std::size_t index);
   void watchdog_loop();
 
+  /// Runs indices of team generation `gen` (job `fn`, `n` indices) until
+  /// none is left to claim; `fn` is dereferenced only after a claim
+  /// succeeds, which proves the job is still live.
+  void team_work(std::uint32_t gen, const IndexFn* fn, long n);
+  /// Joins the published team job if its generation differs from `seen`
+  /// (then updates `seen`); false when there is nothing new.
+  bool team_join(std::uint32_t& seen, Beat& beat);
+  /// Spins for a bounded, constant time until a new team generation shows
+  /// up; false when the time ran out or a task is queued.
+  bool team_spin(std::uint32_t seen) const;
+
   mutable std::mutex mu_;
   std::condition_variable workReady_;
   std::deque<Task> queue_;
+  std::atomic<long> queued_{0};               // queue_.size(), read without mu_
+  std::atomic<int> numWorkers_{0};            // workers_.size(), read without mu_
   std::vector<std::thread> workers_;
   std::deque<Beat> beats_;                    // parallel to workers_; stable addresses
   std::vector<std::uint64_t> lastReported_;   // last stall-reported seq per worker (mu_)
@@ -131,6 +175,23 @@ class ThreadPool {
   std::condition_variable wdCv_;
   std::thread watchdog_;
   bool wdStop_ = false;
+
+  // Team state (parallel_for). teamClaim_ packs the job generation (high 32
+  // bits) with the next index to claim (low 32 bits). When a call ends, its
+  // owner closes the generation (index bits all ones) before releasing the
+  // team, so a late claim on it fails instead of taking an index of the
+  // next call. The job fields are written (release) after that close and
+  // before the next generation is published; a worker reads them (acquire)
+  // after it reads the generation and uses them only once a claim on that
+  // generation succeeds.
+  alignas(64) std::atomic<std::uint64_t> teamClaim_{0};
+  alignas(64) std::atomic<long> teamDone_{0};  // indices finished
+  std::atomic<const IndexFn*> teamJob_{nullptr};
+  std::atomic<long> teamN_{0};
+  std::atomic<bool> teamBusy_{false};          // a parallel_for owns the team
+  std::atomic<int> parked_{0};                 // workers blocked on workReady_
+  std::mutex teamErrMu_;
+  std::vector<std::exception_ptr> teamErrs_;   // exceptions of the current job
 };
 
 /// Fork-join scope over a pool: run() forks a task, wait() joins all tasks
@@ -161,8 +222,14 @@ class TaskGroup {
   std::vector<std::exception_ptr> errs_;
 };
 
-/// fn(i) for i in [0, n), in parallel on the pool (serial when the pool has
-/// a single thread). Blocks until every iteration completed.
-void parallel_for(ThreadPool& pool, long n, const std::function<void(long)>& fn);
+/// fn(i) for i in [0, n) on the pool's team; blocks until every index has
+/// finished. The caller claims indices too and can finish all of them
+/// alone, so a worker that is busy in a TaskGroup task, parked or preempted
+/// never holds the call up. One call owns the team at a time: a call made
+/// while another is in flight (nested inside fn, or from a second thread)
+/// runs its indices inline on its caller, as does any call on a pool with
+/// no workers. Exceptions follow TaskGroup::wait: one is rethrown
+/// unchanged, several become an AggregateError; every index still runs.
+void parallel_for(ThreadPool& pool, long n, IndexFn fn);
 
 }  // namespace fghp

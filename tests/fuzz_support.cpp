@@ -63,13 +63,12 @@ AllocationCap::~AllocationCap() {
   if (restore_) setrlimit(RLIMIT_AS, &saved_);
 }
 
-void mutate(std::string& text, Rng& rng) {
-  static const std::string kBytes = "0123456789 \t\n\r-+.eE%xn";
+void mutate(std::string& text, Rng& rng, std::string_view alphabet) {
   const auto pick = [&](std::size_t n) { return static_cast<std::size_t>(rng.next_below(n)); };
   switch (rng.next_below(5)) {
     case 0:  // byte flip, mostly to a byte the grammar cares about
       if (!text.empty()) {
-        text[pick(text.size())] = rng.bernoulli(0.8) ? kBytes[pick(kBytes.size())]
+        text[pick(text.size())] = rng.bernoulli(0.8) ? alphabet[pick(alphabet.size())]
                                                       : static_cast<char>(rng.next_below(256));
       }
       break;

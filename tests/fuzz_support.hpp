@@ -1,5 +1,5 @@
 // Shared pieces of the seeded mutation drivers (test_mmio_fuzz,
-// test_decomp_fuzz): an allocation cap for the scope of a test, the text
+// test_decomp_fuzz, test_json_fuzz): an allocation cap for the scope of a test, the text
 // mutator, and a printable excerpt of a mutant for failure messages.
 //
 // A mutated count can ask for a huge allocation, so a driver caps
@@ -14,6 +14,7 @@
 #include <sys/resource.h>
 
 #include <string>
+#include <string_view>
 
 #include "util/rng.hpp"
 
@@ -37,10 +38,14 @@ class AllocationCap {
   bool restore_ = false;
 };
 
-/// Applies one random mutation: a byte flip (mostly to a byte the text
-/// grammars care about), a truncation, a duplicated or deleted line, or
-/// inserted digits.
-void mutate(std::string& text, Rng& rng);
+/// The bytes the number-and-line grammars (Matrix Market, decomposition
+/// files) care about.
+inline constexpr std::string_view kTextBytes = "0123456789 \t\n\r-+.eE%xn";
+
+/// Applies one random mutation: a byte flip (mostly to a byte of
+/// `alphabet`, the bytes the grammar cares about), a truncation, a
+/// duplicated or deleted line, or inserted digits.
+void mutate(std::string& text, Rng& rng, std::string_view alphabet = kTextBytes);
 
 /// The first 400 bytes of `text` with line breaks escaped and other
 /// non-printable bytes replaced by '?'.

@@ -1,11 +1,13 @@
 // Compiled execution image tests: plan lowering invariants, session reuse
 // (bit-identity with the one-shot executors at several thread counts, with
 // and without injected faults), the zero-allocation guarantee of the serial
-// iteration path, and the traffic-accounting property across the whole test
-// suite.
+// and threaded iteration paths, concurrent and nested threaded callers, and
+// the traffic-accounting property across the whole test suite.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
+#include <thread>
 
 #include "alloc_counter.hpp"
 #include "comm/volume.hpp"
@@ -21,6 +23,7 @@
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fghp::spmv {
 namespace {
@@ -353,23 +356,83 @@ TEST(ExecSessionScratch, InterleavedSerialAndMtRunsStayIdentical) {
   }
 }
 
-TEST(ExecSessionScratch, MtRequestOfOneThreadRunsInlineWithoutAllocation) {
-  // numThreads = 1 must resolve through the pool to the inline-serial path:
-  // no TaskGroup, no task closures — zero allocations once y is sized.
+TEST(ExecSessionScratch, MtIterationsAllocateNothingAfterTheFirst) {
+  // At T = 1 run_mt resolves to no pool and runs its supersteps inline; at
+  // T = 4 they run on the pool's team, which needs no task closure, queue
+  // node or lock per superstep. Either way: zero allocations once y is
+  // sized and the pool has grown.
   const sparse::Csr a = sparse::random_square(200, 6, 76);
   part::PartitionConfig cfg;
   const model::ModelRun run = model::run_finegrain(a, 8, cfg);
   ExecSession session(build_plan(a, run.decomp));
   const auto x = random_x(a.num_cols(), 77);
 
-  std::vector<double> y;
-  session.run_mt(x, y, 1);  // first call sizes y
-  for (int iter = 0; iter < 4; ++iter) {
+  for (idx_t threads : {1, 4}) {
+    std::vector<double> y;
+    session.run_mt(x, y, threads);  // first call sizes y and grows the pool
     const long before = test::allocation_count();
-    session.run_mt(x, y, 1);
-    const long delta = test::allocation_count() - before;
-    EXPECT_EQ(delta, 0) << "iteration " << iter + 2 << " allocated";
+    for (int iter = 0; iter < 50; ++iter) session.run_mt(x, y, threads);
+    EXPECT_EQ(test::allocation_count() - before, 0) << "threads=" << threads;
   }
+}
+
+TEST(ExecSessionScratch, ConcurrentCallersStayBitIdentical) {
+  // Two callers share the pool, each with its own session: one owns the
+  // team per superstep, the other runs that superstep inline.
+  const sparse::Csr a = sparse::random_square(300, 6, 90);
+  part::PartitionConfig cfg;
+  const model::ModelRun run = model::run_finegrain(a, 8, cfg);
+  const SpmvPlan plan = build_plan(a, run.decomp);
+  const auto x = random_x(a.num_cols(), 91);
+  std::vector<double> clean;
+  ExecSession(plan).run(x, clean);
+
+  int mismatches[2] = {0, 0};
+  auto caller = [&](int c) {
+    ExecSession session(plan);
+    std::vector<double> y;
+    for (int iter = 0; iter < 200; ++iter) {
+      session.run_mt(x, y, 4);
+      if (std::memcmp(y.data(), clean.data(), clean.size() * sizeof(double)) != 0)
+        ++mismatches[c];
+    }
+  };
+  std::thread other(caller, 1);
+  caller(0);
+  other.join();
+  EXPECT_EQ(mismatches[0], 0);
+  EXPECT_EQ(mismatches[1], 0);
+}
+
+TEST(ExecSessionScratch, NestedInPoolWorkStaysBitIdentical) {
+  // run_mt called from inside pool work: TaskGroup tasks (run by workers or
+  // by the waiting caller) and parallel_for indices (where the team is
+  // already owned, so the nested supersteps run inline). No deadlock, and
+  // every result equals run().
+  const sparse::Csr a = sparse::random_square(200, 6, 92);
+  const auto d = random_decomposition(a, 8, 93);
+  const SpmvPlan plan = build_plan(a, d);
+  const auto x = random_x(a.num_cols(), 94);
+  std::vector<double> clean;
+  ExecSession(plan).run(x, clean);
+
+  ThreadPool& pool = *ThreadPool::for_request(4);
+  constexpr int kCallers = 4;
+  std::vector<std::vector<double>> ys(kCallers);
+  auto body = [&](long c) {
+    ExecSession session(plan);
+    for (int iter = 0; iter < 20; ++iter) session.run_mt(x, ys[static_cast<std::size_t>(c)], 4);
+  };
+  {
+    TaskGroup group(pool);
+    for (long c = 0; c < kCallers; ++c) group.run([&body, c] { body(c); });
+    group.wait();
+  }
+  for (const auto& y : ys) expect_bit_identical(y, clean);
+
+  for (auto& y : ys) y.clear();
+  parallel_for(pool, kCallers, body);
+  for (const auto& y : ys) expect_bit_identical(y, clean);
 }
 
 // ----------------------------------------------- traffic accounting ----

@@ -8,6 +8,8 @@
 // under ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "graph/gmetrics.hpp"
@@ -181,6 +183,61 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
   std::vector<std::atomic<int>> hits(257);
   parallel_for(pool, 257, [&](long i) { hits[static_cast<std::size_t>(i)] += 1; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, ParallelForRunsEveryIndexAndRethrows) {
+  // Every index runs even when some throw; one exception is rethrown as
+  // is, several as an AggregateError — the TaskGroup::wait rule.
+  ThreadPool pool(4);
+  for (int round = 0; round < 100; ++round) {
+    std::vector<std::atomic<int>> hits(16);
+    EXPECT_THROW(parallel_for(pool, 16,
+                              [&](long i) {
+                                hits[static_cast<std::size_t>(i)] += 1;
+                                if (i == 5) throw std::runtime_error("one");
+                              }),
+                 std::runtime_error);
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+    EXPECT_THROW(parallel_for(pool, 16,
+                              [&](long i) {
+                                if (i % 4 == 0) throw std::runtime_error("several");
+                              }),
+                 AggregateError);
+  }
+}
+
+TEST(ThreadPoolTest, AlternatingSizesRunEachIndexOncePerCall) {
+  // Back-to-back calls of different sizes: a worker that read one call's
+  // generation late must not claim an index of the next call under it, so
+  // every index runs exactly once and none runs after its call returned.
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(64);
+  for (int round = 0; round < 50000; ++round) {
+    const long n = round % 2 == 0 ? 2 : 64;
+    parallel_for(pool, n, [&](long i) {
+      hits[static_cast<std::size_t>(i)].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (long i = 0; i < 64; ++i)
+      ASSERT_EQ(hits[static_cast<std::size_t>(i)].exchange(0), i < n ? 1 : 0)
+          << "round " << round << " index " << i;
+  }
+}
+
+TEST(ThreadPoolTest, NestedAndConcurrentParallelForDoNotDeadlock) {
+  // A call made while another owns the team runs inline on its caller,
+  // whether it is nested inside an index or comes from a second thread.
+  ThreadPool pool(4);
+  std::atomic<long> sum{0};
+  auto outer = [&] {
+    for (int round = 0; round < 50; ++round)
+      parallel_for(pool, 8, [&](long i) {
+        parallel_for(pool, 8, [&](long j) { sum += i * 8 + j; });
+      });
+  };
+  std::thread other(outer);
+  outer();
+  other.join();
+  EXPECT_EQ(sum.load(), 2L * 50 * (64 * 63 / 2));
 }
 
 TEST(ThreadPoolTest, NestedGroupsDoNotDeadlock) {

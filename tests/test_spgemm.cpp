@@ -214,6 +214,21 @@ TEST(SpgemmExec, RepeatedIterationsAllocateNothing) {
   EXPECT_EQ(test::allocation_count(), before);
 }
 
+TEST(SpgemmExec, RepeatedThreadedIterationsAllocateNothing) {
+  // Inline at T = 1, on the pool's team at T = 4: after the first call
+  // (which sizes C and grows the pool) no superstep allocates.
+  const Fixture f(9);
+  const SpgemmDecomposition d = random_decomposition(f.t, 8, 31);
+  SpgemmSession session(f.t, d);
+  for (idx_t threads : {1, 4}) {
+    std::vector<double> c;
+    session.run_mt(f.a.values(), f.b.values(), c, threads);
+    const long before = test::allocation_count();
+    for (int it = 0; it < 50; ++it) session.run_mt(f.a.values(), f.b.values(), c, threads);
+    EXPECT_EQ(test::allocation_count() - before, 0) << "threads=" << threads;
+  }
+}
+
 TEST(SpgemmValidate, CorruptedScheduleCaught) {
   const Fixture f(13);
   const SpgemmDecomposition d = random_decomposition(f.t, 5, 37);
