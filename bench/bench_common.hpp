@@ -189,7 +189,7 @@ inline RunRecord run_once(const sparse::Csr& a, Model which, idx_t K, std::uint6
   model::ModelRun run;
   switch (which) {
     case Model::kGraph1d: run = model::run_graph_model(a, K, cfg); break;
-    case Model::kHypergraph1d: run = model::run_hypergraph1d(a, K, cfg); break;
+    case Model::kHypergraph1d: run = model::run_hypergraph1d(a, K, cfg, model::Line::kRow); break;
     case Model::kFineGrain2d: run = model::run_finegrain(a, K, cfg); break;
   }
   const comm::CommStats s = comm::analyze(a, run.decomp);

@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
 
     part::PartitionConfig cfg;
     eval("graph-1d", model::run_graph_model(a, K0, cfg).decomp);
-    eval("hyper-1d", model::run_hypergraph1d(a, K0, cfg).decomp);
+    eval("hyper-1d", model::run_hypergraph1d(a, K0, cfg, model::Line::kRow).decomp);
     eval("finegrain-2d", model::run_finegrain(a, K0, cfg).decomp);
     eval("checkerboard", model::checkerboard_decompose_k(a, K0));
     t.add_separator();

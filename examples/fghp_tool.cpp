@@ -62,7 +62,6 @@
 #include "models/hypergraph1d.hpp"
 #include "models/jagged.hpp"
 #include "models/orthogonal.hpp"
-#include "models/rownet.hpp"
 #include "models/vector_assign.hpp"
 #include "partition/hg/partitioner.hpp"
 #include "spgemm/finegrain.hpp"
@@ -252,9 +251,9 @@ int cmd_partition(const ArgParser& args, report::Builder& rep) {
   if (modelName == "finegrain") {
     run = model::run_finegrain(a, k, cfg);
   } else if (modelName == "hyper1d") {
-    run = model::run_hypergraph1d(a, k, cfg);
+    run = model::run_hypergraph1d(a, k, cfg, model::Line::kRow);
   } else if (modelName == "rownet") {
-    run = model::run_rownet(a, k, cfg);
+    run = model::run_hypergraph1d(a, k, cfg, model::Line::kCol);
   } else if (modelName == "graph") {
     run = model::run_graph_model(a, k, cfg);
   } else if (modelName == "checkerboard") {

@@ -30,11 +30,12 @@ FGHP_THREADS=8 ./build-tsan/tests/test_fastpart
 # threads, from two concurrent callers and from inside pool work.
 ./build-tsan/tests/test_compiled
 
-echo "--- Address/UB sanitizers: file readers + compiled image ---"
+echo "--- Address/UB sanitizers: file readers + compiled image + hypergraph grouping ---"
 cmake -B build-asan -G Ninja -DFGHP_SANITIZE=address,undefined -DFGHP_WERROR=ON \
       -DFGHP_BUILD_BENCH=OFF -DFGHP_BUILD_EXAMPLES=ON > /dev/null
 cmake --build build-asan --target test_mmio test_mmio_fuzz test_decomp_io test_decomp_fuzz \
-      test_json test_json_fuzz test_sparse test_fault test_errors test_compiled fghp_tool
+      test_json test_json_fuzz test_sparse test_fault test_errors test_compiled \
+      test_models test_models2d test_fixed_vertices test_hg_partitioner test_comm fghp_tool
 ./build-asan/tests/test_mmio
 # Seeded mutants of small .mtx files: each parses or raises a typed error.
 ./build-asan/tests/test_mmio_fuzz
@@ -55,6 +56,14 @@ cmake --build build-asan --target test_mmio test_mmio_fuzz test_decomp_io test_d
 # SIMD kernels over the whole suite — exactly where an off-by-one in a
 # pre-translated slot would scribble out of bounds.
 ./build-asan/tests/test_compiled
+# hg::group builds every hypergraph but the fine-grain one (the 1D,
+# jagged-stripe, RB-side and coarse levels) from index arrays; these suites
+# drive each of its callers.
+./build-asan/tests/test_models
+./build-asan/tests/test_models2d
+./build-asan/tests/test_fixed_vertices
+./build-asan/tests/test_hg_partitioner
+./build-asan/tests/test_comm
 
 echo "--- fault-injection sweep (ASan/UBSan) ---"
 # Inject every registered fault site once into a real partition->simulate

@@ -1,5 +1,6 @@
 #include "hypergraph/hypergraph.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 namespace fghp::hg {
@@ -41,6 +42,66 @@ Hypergraph::Hypergraph(idx_t numVertices, std::vector<idx_t> xpins, std::vector<
       nets_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(v)]++)] = n;
     }
   }
+}
+
+HypergraphArrays group_arrays(const Hypergraph& h, std::span<const idx_t> groupOf,
+                              idx_t numGroups) {
+  FGHP_REQUIRE(groupOf.size() == static_cast<std::size_t>(h.num_vertices()),
+               "one group per vertex required");
+  FGHP_REQUIRE(numGroups >= 0, "group count must be non-negative");
+  HypergraphArrays out;
+  out.vertexWeights.assign(static_cast<std::size_t>(numGroups), 0);
+  for (idx_t v = 0; v < h.num_vertices(); ++v) {
+    const idx_t g = groupOf[static_cast<std::size_t>(v)];
+    if (g == kInvalidIdx) continue;
+    FGHP_REQUIRE(g >= 0 && g < numGroups, "group id out of range");
+    out.vertexWeights[static_cast<std::size_t>(g)] += h.vertex_weight(v);
+  }
+
+  // The groups of net n's pins, each once, in first-appearance order;
+  // lastNet[g] == n once net n has a pin in group g.
+  std::vector<idx_t> lastNet(static_cast<std::size_t>(numGroups), kInvalidIdx);
+  auto for_each_group = [&](idx_t n, auto&& emit) {
+    for (idx_t v : h.pins(n)) {
+      const idx_t g = groupOf[static_cast<std::size_t>(v)];
+      if (g == kInvalidIdx || lastNet[static_cast<std::size_t>(g)] == n) continue;
+      lastNet[static_cast<std::size_t>(g)] = n;
+      emit(g);
+    }
+  };
+  // A first sweep sizes the arrays exactly. A dropped net leaves at most one
+  // pin behind, hence the one spare slot that spares the fill a reallocation.
+  std::size_t numPins = 0;
+  std::size_t numNets = 0;
+  for (idx_t n = 0; n < h.num_nets(); ++n) {
+    std::size_t size = 0;
+    for_each_group(n, [&size](idx_t) { ++size; });
+    if (size >= 2) {
+      numPins += size;
+      ++numNets;
+    }
+  }
+  out.pins.reserve(numPins + 1);
+  out.xpins.reserve(numNets + 1);
+  out.netCosts.reserve(numNets);
+  std::fill(lastNet.begin(), lastNet.end(), kInvalidIdx);
+  for (idx_t n = 0; n < h.num_nets(); ++n) {
+    const std::size_t start = out.pins.size();
+    for_each_group(n, [&out](idx_t g) { out.pins.push_back(g); });
+    if (out.pins.size() - start < 2) {
+      out.pins.resize(start);
+      continue;
+    }
+    out.xpins.push_back(static_cast<idx_t>(out.pins.size()));
+    out.netCosts.push_back(h.net_cost(n));
+  }
+  return out;
+}
+
+Hypergraph group(const Hypergraph& h, std::span<const idx_t> groupOf, idx_t numGroups) {
+  HypergraphArrays g = group_arrays(h, groupOf, numGroups);
+  return Hypergraph(numGroups, std::move(g.xpins), std::move(g.pins),
+                    std::move(g.vertexWeights), std::move(g.netCosts));
 }
 
 }  // namespace fghp::hg

@@ -79,4 +79,25 @@ class Hypergraph {
   std::vector<weight_t> ncost_;
 };
 
+/// A hypergraph's arrays before the inverse incidence is built (the
+/// Hypergraph constructor's arguments), for callers that post-process them.
+struct HypergraphArrays {
+  std::vector<idx_t> xpins{0};
+  std::vector<idx_t> pins;
+  std::vector<weight_t> vertexWeights;
+  std::vector<weight_t> netCosts;
+};
+
+/// Merges the vertices of h into numGroups groups: vertex v joins group
+/// groupOf[v], or is dropped when groupOf[v] == kInvalidIdx. A group weighs
+/// the sum of its members. Each net keeps one pin per group it touches, in
+/// first-appearance order (neither sorted nor merged with identical nets);
+/// a net left with fewer than 2 pins can never be cut and is dropped. Net
+/// costs carry over.
+HypergraphArrays group_arrays(const Hypergraph& h, std::span<const idx_t> groupOf,
+                              idx_t numGroups);
+
+/// group_arrays as a Hypergraph on numGroups vertices.
+Hypergraph group(const Hypergraph& h, std::span<const idx_t> groupOf, idx_t numGroups);
+
 }  // namespace fghp::hg

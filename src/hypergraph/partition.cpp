@@ -47,4 +47,11 @@ bool Partition::complete() const {
                       [](idx_t p) { return p == kInvalidIdx; });
 }
 
+std::vector<idx_t> lift(std::span<const idx_t> groupOf, const Partition& groupPart) {
+  std::vector<idx_t> part(groupOf.size(), kInvalidIdx);
+  for (std::size_t v = 0; v < groupOf.size(); ++v)
+    if (groupOf[v] != kInvalidIdx) part[v] = groupPart.part_of(groupOf[v]);
+  return part;
+}
+
 }  // namespace fghp::hg

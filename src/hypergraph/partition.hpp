@@ -2,6 +2,7 @@
 // assignment plus maintained part weights (the paper's Π = {P_1..P_K}).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "hypergraph/hypergraph.hpp"
@@ -43,5 +44,10 @@ class Partition {
   std::vector<idx_t> part_;
   std::vector<weight_t> partWeight_;
 };
+
+/// Lifts a partition of hg::group(h, groupOf, ·) back onto h's vertices:
+/// vertex v gets the part of its group groupOf[v], or kInvalidIdx when the
+/// grouping dropped it.
+std::vector<idx_t> lift(std::span<const idx_t> groupOf, const Partition& groupPart);
 
 }  // namespace fghp::hg

@@ -91,6 +91,18 @@ FineGrainModel build_finegrain(const sparse::Csr& a) {
   return m;
 }
 
+std::vector<idx_t> vertex_lines(const sparse::Csr& a, const FineGrainModel& m, Line line) {
+  std::vector<idx_t> lines(static_cast<std::size_t>(m.h.num_vertices()));
+  idx_t e = 0;
+  for (idx_t i = 0; i < a.num_rows(); ++i)
+    for (idx_t j : a.row_cols(i)) lines[static_cast<std::size_t>(e++)] = line == Line::kRow ? i : j;
+  for (idx_t j = 0; j < a.num_rows(); ++j) {
+    const idx_t v = m.diagVertex[static_cast<std::size_t>(j)];
+    if (v >= m.numRealVertices) lines[static_cast<std::size_t>(v)] = j;
+  }
+  return lines;
+}
+
 Decomposition decode_finegrain(const sparse::Csr& a, const FineGrainModel& m,
                                const hg::Partition& p) {
   FGHP_REQUIRE(p.complete(), "decode requires a complete partition");

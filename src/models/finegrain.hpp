@@ -41,6 +41,14 @@ struct FineGrainModel {
 /// diagonals, |N| = 2M).
 FineGrainModel build_finegrain(const sparse::Csr& a);
 
+/// The matrix line a grouping merges fine-grain vertices along.
+enum class Line { kRow, kCol };
+
+/// The row (kRow) or column (kCol) of every fine-grain vertex's nonzero; the
+/// dummy v_jj lies on line j of either kind. hg::group(m.h, lines, n) is the
+/// 1D column-net hypergraph for kRow and the row-net hypergraph for kCol.
+std::vector<idx_t> vertex_lines(const sparse::Csr& a, const FineGrainModel& m, Line line);
+
 /// Decodes a complete K-way partition of the fine-grain hypergraph:
 /// proc(a_ij) = part[v_ij], owner(x_j) = owner(y_j) = part[v_jj].
 Decomposition decode_finegrain(const sparse::Csr& a, const FineGrainModel& m,

@@ -1,50 +1,34 @@
 #include "models/hypergraph1d.hpp"
 
-#include "partition/hg/partitioner.hpp"
-#include "sparse/convert.hpp"
 #include "util/assert.hpp"
 #include "util/trace.hpp"
 
 namespace fghp::model {
 
-hg::Hypergraph build_colnet_hypergraph(const sparse::Csr& a) {
-  FGHP_REQUIRE(a.is_square(), "the column-net model requires a square matrix");
-  const idx_t n = a.num_rows();
-  trace::TraceScope span("model", "build.hyper1d", "n", n, "nnz", a.nnz());
-  const sparse::Csr at = sparse::transpose(a);  // column-major access
-
-  std::vector<weight_t> vwgt(static_cast<std::size_t>(n));
-  for (idx_t i = 0; i < n; ++i)
-    vwgt[static_cast<std::size_t>(i)] = std::max<weight_t>(1, a.row_size(i));
-
-  std::vector<idx_t> xpins{0};
-  std::vector<idx_t> pins;
-  std::vector<weight_t> costs(static_cast<std::size_t>(n), 1);
-  pins.reserve(static_cast<std::size_t>(a.nnz()) + static_cast<std::size_t>(n));
-  for (idx_t j = 0; j < n; ++j) {
-    bool hasDiag = false;
-    for (idx_t i : at.row_cols(j)) {  // rows with a nonzero in column j
-      pins.push_back(i);
-      if (i == j) hasDiag = true;
-    }
-    if (!hasDiag) pins.push_back(j);  // consistency pin
-    xpins.push_back(static_cast<idx_t>(pins.size()));
+part::HgResult partition_grouped(const FineGrainModel& m, const std::vector<idx_t>& groupOf,
+                                 idx_t numGroups, idx_t K, const part::PartitionConfig& cfg,
+                                 ModelRun& run) {
+  hg::Hypergraph h;
+  {
+    trace::TraceScope span("model", "build.group", "groups", numGroups, "pins", m.h.num_pins());
+    h = hg::group(m.h, groupOf, numGroups);
   }
-  return hg::Hypergraph(n, std::move(xpins), std::move(pins), std::move(vwgt),
-                        std::move(costs));
+  part::HgResult r = part::partition_hypergraph(h, K, cfg);
+  run.partitionSeconds += r.seconds;
+  run.numRecoveries += r.numRecoveries;
+  run.numDegraded += r.numDegraded;
+  return r;
 }
 
-ModelRun run_hypergraph1d(const sparse::Csr& a, idx_t K, const part::PartitionConfig& cfg) {
-  const hg::Hypergraph h = build_colnet_hypergraph(a);
-  part::HgResult r = part::partition_hypergraph(h, K, cfg);
-
+ModelRun run_hypergraph1d(const sparse::Csr& a, idx_t K, const part::PartitionConfig& cfg,
+                          Line line) {
+  const FineGrainModel m = build_finegrain(a);
+  const std::vector<idx_t> lines = vertex_lines(a, m, line);
   ModelRun run;
-  run.partitionSeconds = r.seconds;
+  const part::HgResult r = partition_grouped(m, lines, a.num_rows(), K, cfg, run);
   run.objective = r.cutsize;
   run.imbalance = r.imbalance;
-  run.numRecoveries = r.numRecoveries;
-  run.numDegraded = r.numDegraded;
-  run.decomp = decode_rowwise(a, r.partition.assignment(), K);
+  run.decomp = decode_finegrain(a, m, hg::Partition(m.h, K, hg::lift(lines, r.partition)));
   return run;
 }
 

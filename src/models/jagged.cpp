@@ -3,8 +3,6 @@
 #include <cmath>
 
 #include "models/hypergraph1d.hpp"
-#include "partition/hg/partitioner.hpp"
-#include "sparse/convert.hpp"
 #include "util/assert.hpp"
 #include "util/trace.hpp"
 
@@ -18,81 +16,32 @@ ModelRun run_jagged(const sparse::Csr& a, idx_t pr, idx_t pc,
   trace::TraceScope span("model", "build.jagged", "pr", pr, "pc", pc);
 
   ModelRun run;
+  const FineGrainModel m = build_finegrain(a);
+  const std::vector<idx_t> rowOf = vertex_lines(a, m, Line::kRow);
+  const std::vector<idx_t> colOf = vertex_lines(a, m, Line::kCol);
 
-  // --- Phase 1: P-way row stripes via the 1D column-net model -------------
-  std::vector<idx_t> stripeOf(static_cast<std::size_t>(n), 0);
-  if (pr > 1) {
-    const hg::Hypergraph rowsH = build_colnet_hypergraph(a);
-    part::HgResult r = part::partition_hypergraph(rowsH, pr, cfg);
-    run.partitionSeconds += r.seconds;
-    run.numRecoveries += r.numRecoveries;
-    run.numDegraded += r.numDegraded;
-    stripeOf = r.partition.assignment();
-  }
+  // Phase 1: pr row stripes via the column-net grouping; stripe[v] is the
+  // stripe of vertex v's row.
+  std::vector<idx_t> stripe(colOf.size(), 0);
+  if (pr > 1) stripe = hg::lift(rowOf, partition_grouped(m, rowOf, n, pr, cfg, run).partition);
 
-  // --- Phase 2: per-stripe Q-way column split (row-net model restricted to
-  // the stripe's rows; the consistency pin keeps each diagonal's column in
-  // its own row's net so vector decode stays well-defined). Column splits
-  // differ across stripes — that's the "jagged" part. --------------------
-  // perStripeCol[s * n + j]: part of column j inside stripe s.
-  std::vector<idx_t> perStripeCol(static_cast<std::size_t>(pr) * static_cast<std::size_t>(n),
-                                  0);
+  // Phase 2: each stripe's columns split pc ways by the row-net grouping of
+  // the stripe's vertices alone. The dummy v_ii stays in its row's stripe,
+  // so each net keeps its consistency pin. Column splits differ across
+  // stripes — that is the "jagged" part.
+  std::vector<idx_t> part = stripe;
   if (pc > 1) {
+    std::vector<idx_t> stripeCols(colOf.size());
     for (idx_t s = 0; s < pr; ++s) {
-      std::vector<weight_t> vwgt(static_cast<std::size_t>(n), 0);
-      std::vector<idx_t> xpins{0};
-      std::vector<idx_t> pins;
-      std::vector<weight_t> costs;
-      for (idx_t i = 0; i < n; ++i) {
-        if (stripeOf[static_cast<std::size_t>(i)] != s) continue;
-        bool hasDiag = false;
-        for (idx_t j : a.row_cols(i)) {
-          pins.push_back(j);
-          ++vwgt[static_cast<std::size_t>(j)];
-          if (j == i) hasDiag = true;
-        }
-        if (!hasDiag) pins.push_back(i);  // consistency pin for y_i's owner
-        xpins.push_back(static_cast<idx_t>(pins.size()));
-        costs.push_back(1);
-      }
-      const hg::Hypergraph stripeH(n, std::move(xpins), std::move(pins), std::move(vwgt),
-                                   std::move(costs));
-      part::HgResult r = part::partition_hypergraph(stripeH, pc, cfg);
-      run.partitionSeconds += r.seconds;
-      run.numRecoveries += r.numRecoveries;
-    run.numDegraded += r.numDegraded;
-      for (idx_t j = 0; j < n; ++j) {
-        perStripeCol[static_cast<std::size_t>(s) * static_cast<std::size_t>(n) +
-                     static_cast<std::size_t>(j)] = r.partition.part_of(j);
-      }
+      for (std::size_t v = 0; v < colOf.size(); ++v)
+        stripeCols[v] = stripe[v] == s ? colOf[v] : kInvalidIdx;
+      const std::vector<idx_t> colPart =
+          hg::lift(stripeCols, partition_grouped(m, stripeCols, n, pc, cfg, run).partition);
+      for (std::size_t v = 0; v < colOf.size(); ++v)
+        if (stripe[v] == s) part[v] = s * pc + colPart[v];
     }
   }
-  auto col_part = [&](idx_t stripe, idx_t j) {
-    return perStripeCol[static_cast<std::size_t>(stripe) * static_cast<std::size_t>(n) +
-                        static_cast<std::size_t>(j)];
-  };
-
-  // --- Decode ---------------------------------------------------------------
-  Decomposition d;
-  d.numProcs = pr * pc;
-  d.nnzOwner.resize(static_cast<std::size_t>(a.nnz()));
-  std::size_t e = 0;
-  for (idx_t i = 0; i < n; ++i) {
-    const idx_t s = stripeOf[static_cast<std::size_t>(i)];
-    for (idx_t j : a.row_cols(i)) {
-      d.nnzOwner[e++] = s * pc + col_part(s, j);
-    }
-  }
-  d.xOwner.resize(static_cast<std::size_t>(n));
-  d.yOwner.resize(static_cast<std::size_t>(n));
-  for (idx_t j = 0; j < n; ++j) {
-    const idx_t s = stripeOf[static_cast<std::size_t>(j)];
-    const idx_t owner = s * pc + col_part(s, j);
-    d.xOwner[static_cast<std::size_t>(j)] = owner;
-    d.yOwner[static_cast<std::size_t>(j)] = owner;
-  }
-  validate(a, d);
-  run.decomp = std::move(d);
+  run.decomp = decode_finegrain(a, m, hg::Partition(m.h, pr * pc, std::move(part)));
   return run;
 }
 

@@ -3,8 +3,6 @@
 #include <cmath>
 
 #include "models/hypergraph1d.hpp"
-#include "models/rownet.hpp"
-#include "partition/hg/partitioner.hpp"
 #include "util/assert.hpp"
 #include "util/trace.hpp"
 
@@ -18,46 +16,21 @@ ModelRun run_orthogonal(const sparse::Csr& a, idx_t pr, idx_t pc,
   trace::TraceScope span("model", "build.orthogonal", "pr", pr, "pc", pc);
 
   ModelRun run;
-
-  std::vector<idx_t> rowPart(static_cast<std::size_t>(n), 0);
+  const FineGrainModel m = build_finegrain(a);
+  // Vertex v goes to grid processor (row stripe of its row, column stripe
+  // of its column), each stripe set from its own 1D grouping.
+  std::vector<idx_t> part(static_cast<std::size_t>(m.h.num_vertices()), 0);
   if (pr > 1) {
-    const hg::Hypergraph rowsH = build_colnet_hypergraph(a);
-    part::HgResult r = part::partition_hypergraph(rowsH, pr, cfg);
-    run.partitionSeconds += r.seconds;
-    run.numRecoveries += r.numRecoveries;
-    run.numDegraded += r.numDegraded;
-    rowPart = r.partition.assignment();
+    const std::vector<idx_t> rowOf = vertex_lines(a, m, Line::kRow);
+    part = hg::lift(rowOf, partition_grouped(m, rowOf, n, pr, cfg, run).partition);
   }
-  std::vector<idx_t> colPart(static_cast<std::size_t>(n), 0);
   if (pc > 1) {
-    const hg::Hypergraph colsH = build_rownet_hypergraph(a);
-    part::HgResult r = part::partition_hypergraph(colsH, pc, cfg);
-    run.partitionSeconds += r.seconds;
-    run.numRecoveries += r.numRecoveries;
-    run.numDegraded += r.numDegraded;
-    colPart = r.partition.assignment();
+    const std::vector<idx_t> colOf = vertex_lines(a, m, Line::kCol);
+    const std::vector<idx_t> colPart =
+        hg::lift(colOf, partition_grouped(m, colOf, n, pc, cfg, run).partition);
+    for (std::size_t v = 0; v < part.size(); ++v) part[v] = part[v] * pc + colPart[v];
   }
-
-  Decomposition d;
-  d.numProcs = pr * pc;
-  d.nnzOwner.resize(static_cast<std::size_t>(a.nnz()));
-  std::size_t e = 0;
-  for (idx_t i = 0; i < n; ++i) {
-    const idx_t rp = rowPart[static_cast<std::size_t>(i)];
-    for (idx_t j : a.row_cols(i)) {
-      d.nnzOwner[e++] = rp * pc + colPart[static_cast<std::size_t>(j)];
-    }
-  }
-  d.xOwner.resize(static_cast<std::size_t>(n));
-  d.yOwner.resize(static_cast<std::size_t>(n));
-  for (idx_t j = 0; j < n; ++j) {
-    const idx_t owner = rowPart[static_cast<std::size_t>(j)] * pc +
-                        colPart[static_cast<std::size_t>(j)];
-    d.xOwner[static_cast<std::size_t>(j)] = owner;
-    d.yOwner[static_cast<std::size_t>(j)] = owner;
-  }
-  validate(a, d);
-  run.decomp = std::move(d);
+  run.decomp = decode_finegrain(a, m, hg::Partition(m.h, pr * pc, std::move(part)));
   return run;
 }
 

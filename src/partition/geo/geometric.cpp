@@ -18,19 +18,17 @@ namespace fghp::part::geo {
 
 namespace {
 
-/// Moves free points out of over-cap parts into the lightest parts, in
+/// Moves points out of over-cap parts into the lightest parts, in
 /// point-index order, until every part is within `cap`. Only runs when a
 /// best-effort bisection overshot (nonuniform weights); with unit weights
 /// the median splits hit their targets exactly and this is a no-op.
-/// Deterministic: a pure function of (assignment, weights, fixedPart).
+/// Deterministic: a pure function of (assignment, weights).
 bool rebalance_to_cap(const GeoPoints& pts, idx_t K, weight_t cap,
-                      std::vector<idx_t>& part, std::vector<weight_t>& load,
-                      const std::vector<idx_t>& fixedPart) {
+                      std::vector<idx_t>& part, std::vector<weight_t>& load) {
   bool moved = false;
   for (idx_t v = 0; v < pts.num_vertices(); ++v) {
     const idx_t from = part[static_cast<std::size_t>(v)];
     if (load[static_cast<std::size_t>(from)] <= cap) continue;
-    if (!fixedPart.empty() && fixedPart[static_cast<std::size_t>(v)] != kInvalidIdx) continue;
     const weight_t w = pts.wgt[static_cast<std::size_t>(v)];
     idx_t to = kInvalidIdx;
     for (idx_t k = 0; k < K; ++k) {
@@ -109,8 +107,7 @@ std::vector<idx_t> majority_by_line(const GeoPoints& pts, const std::vector<char
 }  // namespace
 
 GeoResult partition_points_geometric(const GeoPoints& pts, idx_t K,
-                                     const PartitionConfig& cfg,
-                                     const std::vector<idx_t>& fixedPart) {
+                                     const PartitionConfig& cfg) {
   FGHP_REQUIRE(K >= 1, "K must be positive");
   WallTimer timer;
 
@@ -157,7 +154,7 @@ GeoResult partition_points_geometric(const GeoPoints& pts, idx_t K,
   GeoPartition full;
   if (!peel) {
     RbResult<georb::GeoRbTraits> res =
-        rb::partition_recursive_rb<georb::GeoRbTraits>(pts, K, cfg, rng, fixedPart);
+        rb::partition_recursive_rb<georb::GeoRbTraits>(pts, K, cfg, rng);
     out.cutsize = res.sumOfBisectionCuts;  // telescoped: exact, no recompute
     out.numRecoveries = res.numRecoveries;
     out.numDegraded = res.numDegraded;
@@ -169,7 +166,6 @@ GeoResult partition_points_geometric(const GeoPoints& pts, idx_t K,
     kept.numRows = pts.numRows;
     kept.numCols = pts.numCols;
     std::vector<idx_t> toParent;
-    std::vector<idx_t> keptFixed;
     for (idx_t v = 0; v < z; ++v) {
       if (peeled[static_cast<std::size_t>(v)]) continue;
       toParent.push_back(v);
@@ -177,10 +173,9 @@ GeoResult partition_points_geometric(const GeoPoints& pts, idx_t K,
       kept.col.push_back(pts.col[static_cast<std::size_t>(v)]);
       kept.wgt.push_back(pts.wgt[static_cast<std::size_t>(v)]);
       kept.totalWeight += pts.wgt[static_cast<std::size_t>(v)];
-      if (!fixedPart.empty()) keptFixed.push_back(fixedPart[static_cast<std::size_t>(v)]);
     }
     RbResult<georb::GeoRbTraits> res =
-        rb::partition_recursive_rb<georb::GeoRbTraits>(kept, K, cfg, rng, keptFixed);
+        rb::partition_recursive_rb<georb::GeoRbTraits>(kept, K, cfg, rng);
     out.numRecoveries = res.numRecoveries;
     out.numDegraded = res.numDegraded;
 
@@ -204,23 +199,18 @@ GeoResult partition_points_geometric(const GeoPoints& pts, idx_t K,
       const idx_t c = pts.col[static_cast<std::size_t>(v)];
       const weight_t w = pts.wgt[static_cast<std::size_t>(v)];
       idx_t k = kInvalidIdx;
-      if (!fixedPart.empty() && fixedPart[static_cast<std::size_t>(v)] != kInvalidIdx) {
-        k = fixedPart[static_cast<std::size_t>(v)];
-      } else {
-        if (!heavyR[static_cast<std::size_t>(r)]) k = majR[static_cast<std::size_t>(r)];
-        else if (!heavyC[static_cast<std::size_t>(c)]) k = majC[static_cast<std::size_t>(c)];
-        if (k != kInvalidIdx && load[static_cast<std::size_t>(k)] + w > cap) k = kInvalidIdx;
-        if (k == kInvalidIdx) {
-          for (idx_t q = 0; q < K; ++q) {
-            if (load[static_cast<std::size_t>(q)] + w > cap) continue;
-            if (k == kInvalidIdx ||
-                load[static_cast<std::size_t>(q)] < load[static_cast<std::size_t>(k)])
-              k = q;
-          }
-          if (k == kInvalidIdx)  // infeasible heavyweight: best-effort
-            k = static_cast<idx_t>(
-                std::min_element(load.begin(), load.end()) - load.begin());
+      if (!heavyR[static_cast<std::size_t>(r)]) k = majR[static_cast<std::size_t>(r)];
+      else if (!heavyC[static_cast<std::size_t>(c)]) k = majC[static_cast<std::size_t>(c)];
+      if (k != kInvalidIdx && load[static_cast<std::size_t>(k)] + w > cap) k = kInvalidIdx;
+      if (k == kInvalidIdx) {
+        for (idx_t q = 0; q < K; ++q) {
+          if (load[static_cast<std::size_t>(q)] + w > cap) continue;
+          if (k == kInvalidIdx ||
+              load[static_cast<std::size_t>(q)] < load[static_cast<std::size_t>(k)])
+            k = q;
         }
+        if (k == kInvalidIdx)  // infeasible heavyweight: best-effort
+          k = static_cast<idx_t>(std::min_element(load.begin(), load.end()) - load.begin());
       }
       part[static_cast<std::size_t>(v)] = k;
       load[static_cast<std::size_t>(k)] += w;
@@ -242,7 +232,7 @@ GeoResult partition_points_geometric(const GeoPoints& pts, idx_t K,
   if (over) {
     std::vector<idx_t> part = full.assignment();
     std::vector<weight_t> load = full.part_weights();
-    if (rebalance_to_cap(pts, K, cap, part, load, fixedPart)) {
+    if (rebalance_to_cap(pts, K, cap, part, load)) {
       full = GeoPartition(pts, K, std::move(part));
       out.cutsize = connectivity_cutsize(pts, full);
       push_warning("geometric partition exceeded the balance cap; repaired by "

@@ -34,9 +34,8 @@ struct GeoResult {
 /// tracing spans, and strict revalidation under cfg.validateLevel. The
 /// result is always balance-feasible (hg::balance_cap); a best-effort
 /// bisection that overshoots is repaired by a deterministic rebalance pass.
-/// `fixedPart` (optional; kInvalidIdx = free) pins points to final parts.
+/// Fixed (pre-assigned) vertices are a multilevel-only feature.
 GeoResult partition_points_geometric(const GeoPoints& pts, idx_t K,
-                                     const PartitionConfig& cfg,
-                                     const std::vector<idx_t>& fixedPart = {});
+                                     const PartitionConfig& cfg);
 
 }  // namespace fghp::part::geo

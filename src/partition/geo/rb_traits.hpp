@@ -2,12 +2,14 @@
 // (partition/rb_driver.hpp): weighted-median splits on (row, col) point
 // sets, line-crossing cut telescoping (exactly the lambda-1 connectivity
 // objective, see partition/geo/points.hpp), and the deterministic greedy
-// split as the recovery-ladder floor.
+// split as the recovery-ladder floor. Like the graph stack, the fast path
+// has no fixed-vertex mechanism, so the engine's fixed sides must be empty.
 #pragma once
 
 #include "partition/geo/points.hpp"
 #include "partition/geo/split.hpp"
 #include "partition/multilevel.hpp"
+#include "util/assert.hpp"
 
 namespace fghp::part::georb {
 
@@ -21,12 +23,14 @@ struct GeoRbTraits {
   static Partition bisect(const Problem& pts, const std::array<weight_t, 2>& target,
                           const std::array<weight_t, 2>& cap, const PartitionConfig& cfg,
                           Rng& rng, const FixedSides& fixed) {
-    return geo::median_split(pts, target, cap, cfg, rng, fixed);
+    FGHP_REQUIRE(fixed.empty(), "the geometric fast path does not support fixed vertices");
+    return geo::median_split(pts, target, cap, cfg, rng);
   }
 
   static Partition greedy_fallback(const Problem& pts, const std::array<weight_t, 2>& target,
                                    const FixedSides& fixed) {
-    return geo::greedy_split(pts, target, fixed);
+    FGHP_REQUIRE(fixed.empty(), "the geometric fast path does not support fixed vertices");
+    return geo::greedy_split(pts, target);
   }
 
   static weight_t bisection_cut(const Problem& pts, const Partition& p) {

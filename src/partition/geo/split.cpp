@@ -13,22 +13,21 @@ namespace {
 /// the sweep clock-bound.
 constexpr idx_t kCheckStride = 256;
 
-/// Estimated cut of splitting the free points at the weighted median of
+/// Estimated cut of splitting the points at the weighted median of
 /// axis A (rows when byRow): the number of B-axis lines whose A-span
 /// straddles the median boundary, plus one when the median falls mid-line.
 /// This is what makes the axis choice structure-aware — on a banded matrix
 /// the straddle count at a row boundary is ~bandwidth while a column split
 /// of a row slab would cut every row in it, so "longer axis" alone picks
 /// catastrophically. O(z + extents); exact up to the partial median line.
-weight_t axis_cut_estimate(const GeoPoints& pts, const std::vector<idx_t>& free,
-                           bool byRow, idx_t minA, idx_t maxA, idx_t minB, idx_t maxB,
-                           weight_t t0) {
+weight_t axis_cut_estimate(const GeoPoints& pts, bool byRow, idx_t minA, idx_t maxA,
+                           idx_t minB, idx_t maxB, weight_t t0) {
   const idx_t extA = maxA - minA + 1;
   const idx_t extB = maxB - minB + 1;
   std::vector<weight_t> wA(static_cast<std::size_t>(extA), 0);
   std::vector<idx_t> bLo(static_cast<std::size_t>(extB), extA);
   std::vector<idx_t> bHi(static_cast<std::size_t>(extB), -1);
-  for (idx_t v : free) {
+  for (idx_t v = 0; v < pts.num_vertices(); ++v) {
     const idx_t a = (byRow ? pts.row : pts.col)[static_cast<std::size_t>(v)] - minA;
     const idx_t b = (byRow ? pts.col : pts.row)[static_cast<std::size_t>(v)] - minB;
     wA[static_cast<std::size_t>(a)] += pts.wgt[static_cast<std::size_t>(v)];
@@ -60,41 +59,25 @@ weight_t axis_cut_estimate(const GeoPoints& pts, const std::vector<idx_t>& free,
 
 GeoPartition median_split(const GeoPoints& pts, const std::array<weight_t, 2>& target,
                           const std::array<weight_t, 2>& cap, const PartitionConfig& cfg,
-                          Rng& rng, const FixedSides& fixed) {
+                          Rng& rng) {
   (void)cap;  // feasibility is judged by the engine; the split aims at target
   (void)rng;  // deterministic split; the stream exists for the retry contract
   const idx_t z = pts.num_vertices();
   std::vector<idx_t> side(static_cast<std::size_t>(z), kInvalidIdx);
-
-  // Pin fixed points and deduct their weight from the side-0 target.
-  std::array<weight_t, 2> fixedW = {0, 0};
-  std::vector<idx_t> free;
-  free.reserve(static_cast<std::size_t>(z));
-  for (idx_t v = 0; v < z; ++v) {
-    const signed char f = fixed.empty() ? -1 : fixed[static_cast<std::size_t>(v)];
-    if (f >= 0) {
-      side[static_cast<std::size_t>(v)] = f;
-      fixedW[static_cast<std::size_t>(f)] += pts.wgt[static_cast<std::size_t>(v)];
-    } else {
-      free.push_back(v);
-    }
-  }
-  if (free.empty()) return GeoPartition(pts, 2, std::move(side));
+  if (z == 0) return GeoPartition(pts, 2, std::move(side));
 
   idx_t minR = pts.numRows, maxR = -1, minC = pts.numCols, maxC = -1;
-  for (idx_t v : free) {
+  for (idx_t v = 0; v < z; ++v) {
     minR = std::min(minR, pts.row[static_cast<std::size_t>(v)]);
     maxR = std::max(maxR, pts.row[static_cast<std::size_t>(v)]);
     minC = std::min(minC, pts.col[static_cast<std::size_t>(v)]);
     maxC = std::max(maxC, pts.col[static_cast<std::size_t>(v)]);
   }
-  const weight_t t0Est = std::max<weight_t>(0, target[0] - fixedW[0]);
-  const weight_t cutRow = axis_cut_estimate(pts, free, /*byRow=*/true, minR, maxR,
-                                            minC, maxC, t0Est);
-  const weight_t cutCol = axis_cut_estimate(pts, free, /*byRow=*/false, minC, maxC,
-                                            minR, maxR, t0Est);
+  const weight_t t0 = std::max<weight_t>(0, target[0]);
+  const weight_t cutRow = axis_cut_estimate(pts, /*byRow=*/true, minR, maxR, minC, maxC, t0);
+  const weight_t cutCol = axis_cut_estimate(pts, /*byRow=*/false, minC, maxC, minR, maxR, t0);
   // Smaller estimated cut wins; ties go to the longer extent, then to rows —
-  // a pure function of the free points, so the choice is deterministic.
+  // a pure function of the points, so the choice is deterministic.
   bool byRow;
   if (cutRow != cutCol) {
     byRow = cutRow < cutCol;
@@ -105,28 +88,27 @@ GeoPartition median_split(const GeoPoints& pts, const std::array<weight_t, 2>& t
   const idx_t base = byRow ? minR : minC;
   const idx_t buckets = (byRow ? maxR - minR : maxC - minC) + 1;
 
-  // Counting sort of the free points by coordinate (stable: within a line,
+  // Counting sort of the points by coordinate (stable: within a line,
   // index order), so the side-0 prefix below is a contiguous coordinate
   // range and the cut crosses at most one line.
   std::vector<idx_t> offset(static_cast<std::size_t>(buckets) + 1, 0);
-  for (idx_t v : free)
+  for (idx_t v = 0; v < z; ++v)
     ++offset[static_cast<std::size_t>(coord[static_cast<std::size_t>(v)] - base) + 1];
   for (idx_t b = 0; b < buckets; ++b)
     offset[static_cast<std::size_t>(b) + 1] += offset[static_cast<std::size_t>(b)];
-  std::vector<idx_t> order(free.size());
+  std::vector<idx_t> order(static_cast<std::size_t>(z));
   {
     std::vector<idx_t> cursor(offset.begin(), offset.end() - 1);
-    for (idx_t v : free)
+    for (idx_t v = 0; v < z; ++v)
       order[static_cast<std::size_t>(
           cursor[static_cast<std::size_t>(coord[static_cast<std::size_t>(v)] - base)]++)] = v;
   }
 
-  // Weighted-median sweep: fill side 0 up to its (fixed-adjusted) target,
-  // then everything else is side 1. With unit weights the prefix hits the
-  // target exactly. A cancel check-point every kCheckStride lines makes the
-  // split itself interruptible; an expired deadline throws here and the
-  // engine's recovery ladder degrades this node to the greedy split.
-  const weight_t t0 = std::max<weight_t>(0, target[0] - fixedW[0]);
+  // Weighted-median sweep: fill side 0 up to its target, then everything
+  // else is side 1. With unit weights the prefix hits the target exactly. A
+  // cancel check-point every kCheckStride lines makes the split itself
+  // interruptible; an expired deadline throws here and the engine's
+  // recovery ladder degrades this node to the greedy split.
   weight_t acc = 0;
   bool open0 = true;
   for (idx_t b = 0; b < buckets; ++b) {
@@ -148,20 +130,11 @@ GeoPartition median_split(const GeoPoints& pts, const std::array<weight_t, 2>& t
   return GeoPartition(pts, 2, std::move(side));
 }
 
-GeoPartition greedy_split(const GeoPoints& pts, const std::array<weight_t, 2>& target,
-                          const FixedSides& fixed) {
+GeoPartition greedy_split(const GeoPoints& pts, const std::array<weight_t, 2>& target) {
   const idx_t z = pts.num_vertices();
   std::vector<idx_t> side(static_cast<std::size_t>(z), kInvalidIdx);
   std::array<weight_t, 2> acc = {0, 0};
   for (idx_t v = 0; v < z; ++v) {
-    const signed char f = fixed.empty() ? -1 : fixed[static_cast<std::size_t>(v)];
-    if (f >= 0) {
-      side[static_cast<std::size_t>(v)] = f;
-      acc[static_cast<std::size_t>(f)] += pts.wgt[static_cast<std::size_t>(v)];
-    }
-  }
-  for (idx_t v = 0; v < z; ++v) {
-    if (side[static_cast<std::size_t>(v)] != kInvalidIdx) continue;
     const idx_t s = target[0] - acc[0] >= target[1] - acc[1] ? 0 : 1;
     side[static_cast<std::size_t>(v)] = s;
     acc[static_cast<std::size_t>(s)] += pts.wgt[static_cast<std::size_t>(v)];

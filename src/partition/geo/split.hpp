@@ -8,30 +8,27 @@
 
 #include "partition/config.hpp"
 #include "partition/geo/points.hpp"
-#include "partition/multilevel.hpp"
 #include "util/rng.hpp"
 
 namespace fghp::part::geo {
 
 /// Bisects the point set at the weighted median along its longer axis.
 ///
-/// Free points are counting-sorted by the chosen coordinate (stable, so the
+/// Points are counting-sorted by the chosen coordinate (stable, so the
 /// result is a pure function of the inputs) and swept in line order into
 /// side 0 until target[0] is met; because points on one coordinate line stay
-/// contiguous, at most one line is split by the cut. Fixed points keep their
-/// side and their weight is deducted from the targets first. `rng` is
+/// contiguous, at most one line is split by the cut. `rng` is
 /// consumed only to stay stream-compatible with the engine's retry contract;
 /// the split itself is deterministic. Runs a cooperative cancel check-point
 /// per coordinate bucket ("geo.split" phase), so a deadline or manual cancel
 /// lands mid-split rather than only between bisection nodes.
 GeoPartition median_split(const GeoPoints& pts, const std::array<weight_t, 2>& target,
                           const std::array<weight_t, 2>& cap, const PartitionConfig& cfg,
-                          Rng& rng, const FixedSides& fixed);
+                          Rng& rng);
 
 /// Deterministic last-resort split: points in index order to the side with
 /// the most remaining target. Never throws, never allocates per point.
-GeoPartition greedy_split(const GeoPoints& pts, const std::array<weight_t, 2>& target,
-                          const FixedSides& fixed);
+GeoPartition greedy_split(const GeoPoints& pts, const std::array<weight_t, 2>& target);
 
 /// Number of coordinate lines (rows + cols) with points on both sides of a
 /// bisection. Summed over all recursion nodes this telescopes exactly to the

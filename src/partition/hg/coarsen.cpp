@@ -44,10 +44,6 @@ CoarseLevel contract(const hg::Hypergraph& fine, const ClusterMap& clusters,
     dense[v] = remap[static_cast<std::size_t>(c)];
   }
 
-  std::vector<weight_t> vwgt(static_cast<std::size_t>(numCoarse), 0);
-  for (idx_t v = 0; v < fine.num_vertices(); ++v)
-    vwgt[static_cast<std::size_t>(dense[static_cast<std::size_t>(v)])] += fine.vertex_weight(v);
-
   FixedSides coarseFixed;
   if (!fixed.empty()) {
     coarseFixed.assign(static_cast<std::size_t>(numCoarse), -1);
@@ -61,25 +57,18 @@ CoarseLevel contract(const hg::Hypergraph& fine, const ClusterMap& clusters,
     }
   }
 
-  // Translate nets; dedupe pins; drop nets that fall to < 2 distinct pins.
-  std::vector<idx_t> xpins{0};
-  std::vector<idx_t> pins;
-  std::vector<weight_t> costs;
-  pins.reserve(static_cast<std::size_t>(fine.num_pins()));
-  SparseAccumulator<idx_t> seen(numCoarse);
-  for (idx_t n = 0; n < fine.num_nets(); ++n) {
-    seen.clear();
-    for (idx_t v : fine.pins(n)) seen.add(dense[static_cast<std::size_t>(v)], 1);
-    if (seen.keys().size() < 2) continue;
-    std::vector<idx_t> cp(seen.keys());
-    std::sort(cp.begin(), cp.end());  // sorted for identical-net detection
-    pins.insert(pins.end(), cp.begin(), cp.end());
-    xpins.push_back(static_cast<idx_t>(pins.size()));
-    costs.push_back(fine.net_cost(n));
-  }
+  // Group the fine vertices into their clusters, then sort each net's pins
+  // so that identical nets compare equal.
+  hg::HypergraphArrays g = hg::group_arrays(fine, dense, numCoarse);
+  std::vector<idx_t>& xpins = g.xpins;
+  std::vector<idx_t>& pins = g.pins;
+  std::vector<weight_t>& costs = g.netCosts;
+  const auto numNets = static_cast<idx_t>(costs.size());
+  for (idx_t n = 0; n < numNets; ++n)
+    std::sort(pins.begin() + xpins[static_cast<std::size_t>(n)],
+              pins.begin() + xpins[static_cast<std::size_t>(n) + 1]);
 
   // Identical-net merging: hash (size, pins...) and merge equal runs.
-  const auto numNets = static_cast<idx_t>(costs.size());
   std::vector<std::pair<std::uint64_t, idx_t>> hashed(static_cast<std::size_t>(numNets));
   for (idx_t n = 0; n < numNets; ++n) {
     std::uint64_t hsh = 1469598103934665603ULL;
@@ -121,22 +110,28 @@ CoarseLevel contract(const hg::Hypergraph& fine, const ClusterMap& clusters,
     i = j;
   }
 
-  // Compact the surviving nets.
-  std::vector<idx_t> fxpins{0};
-  std::vector<idx_t> fpins;
-  std::vector<weight_t> fcosts;
-  fpins.reserve(pins.size());
+  // Compact the surviving nets in place.
+  std::size_t numPins = 0;
+  idx_t kept = 0;
   for (idx_t n = 0; n < numNets; ++n) {
     if (dead[static_cast<std::size_t>(n)]) continue;
-    fpins.insert(fpins.end(), pins.begin() + xpins[static_cast<std::size_t>(n)],
-                 pins.begin() + xpins[static_cast<std::size_t>(n) + 1]);
-    fxpins.push_back(static_cast<idx_t>(fpins.size()));
-    fcosts.push_back(costs[static_cast<std::size_t>(n)]);
+    const auto b = static_cast<std::size_t>(xpins[static_cast<std::size_t>(n)]);
+    const auto e = static_cast<std::size_t>(xpins[static_cast<std::size_t>(n) + 1]);
+    std::copy(pins.begin() + static_cast<std::ptrdiff_t>(b),
+              pins.begin() + static_cast<std::ptrdiff_t>(e),
+              pins.begin() + static_cast<std::ptrdiff_t>(numPins));
+    numPins += e - b;
+    costs[static_cast<std::size_t>(kept)] = costs[static_cast<std::size_t>(n)];
+    xpins[static_cast<std::size_t>(++kept)] = static_cast<idx_t>(numPins);
   }
+  pins.resize(numPins);
+  pins.shrink_to_fit();
+  xpins.resize(static_cast<std::size_t>(kept) + 1);
+  costs.resize(static_cast<std::size_t>(kept));
 
   CoarseLevel level;
-  level.coarse = hg::Hypergraph(numCoarse, std::move(fxpins), std::move(fpins),
-                                std::move(vwgt), std::move(fcosts));
+  level.coarse = hg::Hypergraph(numCoarse, std::move(xpins), std::move(pins),
+                                std::move(g.vertexWeights), std::move(costs));
   level.fineToCoarse = std::move(dense);
   level.coarseFixed = std::move(coarseFixed);
   return level;

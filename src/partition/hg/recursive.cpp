@@ -17,33 +17,7 @@ SideExtract extract_side(const hg::Hypergraph& h, const hg::Partition& bisection
       out.toParent.push_back(v);
     }
   }
-  const auto numSub = static_cast<idx_t>(out.toParent.size());
-
-  std::vector<weight_t> vwgt(static_cast<std::size_t>(numSub));
-  for (idx_t sv = 0; sv < numSub; ++sv)
-    vwgt[static_cast<std::size_t>(sv)] =
-        h.vertex_weight(out.toParent[static_cast<std::size_t>(sv)]);
-
-  std::vector<idx_t> xpins{0};
-  std::vector<idx_t> pins;
-  std::vector<weight_t> costs;
-  for (idx_t n = 0; n < h.num_nets(); ++n) {
-    const auto pinSpan = h.pins(n);
-    idx_t inSide = 0;
-    for (idx_t v : pinSpan) {
-      if (bisection.part_of(v) == side) ++inSide;
-    }
-    if (inSide < 2) continue;
-    for (idx_t v : pinSpan) {
-      const idx_t sv = toSub[static_cast<std::size_t>(v)];
-      if (sv != kInvalidIdx) pins.push_back(sv);
-    }
-    xpins.push_back(static_cast<idx_t>(pins.size()));
-    costs.push_back(h.net_cost(n));
-  }
-
-  out.sub = hg::Hypergraph(numSub, std::move(xpins), std::move(pins), std::move(vwgt),
-                           std::move(costs));
+  out.sub = hg::group(h, toSub, static_cast<idx_t>(out.toParent.size()));
   return out;
 }
 

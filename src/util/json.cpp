@@ -286,6 +286,8 @@ class Parser {
       if (pos_ >= s_.size()) fail("unterminated string");
       const char c = s_[pos_++];
       if (c == '"') return out;
+      // JSON strings carry control characters only as escapes.
+      if (static_cast<unsigned char>(c) < 0x20) fail("raw control character in string");
       if (c != '\\') {
         out += c;
         continue;

@@ -1,7 +1,8 @@
 // Communication-analysis tests: hand-worked examples, and the paper's
 // central theorems — the lambda-1 cutsize of a fine-grain partition equals
 // the exact total communication volume, and the 1D column-net cutsize
-// equals the exact expand volume.
+// equals the exact expand volume — also for every model that groups the
+// fine-grain hypergraph, on degenerate inputs.
 #include <gtest/gtest.h>
 
 #include "comm/volume.hpp"
@@ -10,6 +11,8 @@
 #include "models/finegrain.hpp"
 #include "models/graph_model.hpp"
 #include "models/hypergraph1d.hpp"
+#include "models/jagged.hpp"
+#include "models/orthogonal.hpp"
 #include "partition/gp/gpartitioner.hpp"
 #include "partition/hg/partitioner.hpp"
 #include "sparse/convert.hpp"
@@ -150,7 +153,9 @@ TEST_P(VolumeTheorem, FineGrainTheoremWithMissingDiagonals) {
 TEST_P(VolumeTheorem, ColnetCutsizeEqualsExpandVolume) {
   const auto [K, seed] = GetParam();
   const sparse::Csr a = sparse::random_square(150, 6, seed);
-  const hg::Hypergraph h = model::build_colnet_hypergraph(a);
+  const model::FineGrainModel m = model::build_finegrain(a);
+  const hg::Hypergraph h =
+      hg::group(m.h, model::vertex_lines(a, m, model::Line::kRow), a.num_rows());
   Rng rng(seed * 3 + 5);
   std::vector<idx_t> rowPart(static_cast<std::size_t>(a.num_rows()));
   for (auto& p : rowPart) p = rng.uniform(0, K - 1);
@@ -199,7 +204,7 @@ TEST(GraphModelFlaw, EdgeCutOverestimatesTrueVolume) {
 TEST(MessageBounds, OneDimensionalBoundKMinus1) {
   const sparse::Csr a = sparse::random_square(200, 8, 4);
   part::PartitionConfig cfg;
-  const model::ModelRun run = model::run_hypergraph1d(a, 8, cfg);
+  const model::ModelRun run = model::run_hypergraph1d(a, 8, cfg, model::Line::kRow);
   const CommStats s = analyze(a, run.decomp);
   // Each processor sends/receives at most K-1 expand messages each way.
   EXPECT_LE(s.maxMessagesPerProc, 2 * (8 - 1));
@@ -269,6 +274,118 @@ TEST(AnalyzeInternal, PerProcWordsSumToTotals) {
   }
   EXPECT_EQ(sent, s.totalWords);
   EXPECT_EQ(recv, s.totalWords);
+}
+
+// ------------------------------------------- grouped models, degenerate ----
+// The 1D, jagged and orthogonal models partition groupings of the
+// fine-grain hypergraph and decode through decode_finegrain, so the paper's
+// theorem must hold for each of their decompositions: read back as a
+// fine-grain partition (nonzero owners, and x_j's owner for a dummy v_jj),
+// its lambda-1 cutsize is the exact volume. The inputs are the shapes that
+// shrink or drop groups and nets: empty lines, missing diagonals,
+// single-entry lines, and more parts than rows.
+
+/// Copy of `a` without the entries of row `row` and column `col`
+/// (kInvalidIdx keeps every row or column).
+sparse::Csr without_lines(const sparse::Csr& a, idx_t row, idx_t col) {
+  sparse::Coo coo(a.num_rows(), a.num_cols());
+  for (idx_t i = 0; i < a.num_rows(); ++i) {
+    if (i == row) continue;
+    for (idx_t j : a.row_cols(i))
+      if (j != col) coo.add(i, j, 1.0);
+  }
+  return to_csr(std::move(coo));
+}
+
+/// Every line holds one off-diagonal entry: a_{i, i+1 mod n}.
+sparse::Csr cyclic_shift(idx_t n) {
+  sparse::Coo coo(n, n);
+  for (idx_t i = 0; i < n; ++i) coo.add(i, (i + 1) % n, 1.0);
+  return to_csr(std::move(coo));
+}
+
+struct DegenerateCase {
+  const char* name;
+  sparse::Csr a;
+  idx_t K;
+};
+
+std::vector<DegenerateCase> degenerate_cases() {
+  std::vector<DegenerateCase> cases;
+  cases.push_back({"empty-row", without_lines(sparse::random_square(40, 4, 7), 5, kInvalidIdx), 4});
+  cases.push_back({"empty-col", without_lines(sparse::random_square(40, 4, 8), kInvalidIdx, 9), 6});
+  cases.push_back({"empty-row-and-col", without_lines(sparse::random_square(40, 4, 9), 3, 3), 4});
+  cases.push_back({"no-diagonal", sparse::random_square(40, 4, 10, /*withDiagonal=*/false), 6});
+  cases.push_back({"single-entry-lines", cyclic_shift(24), 4});
+  cases.push_back({"k-above-n", sparse::random_square(6, 2, 11), 8});
+  cases.push_back({"k-equals-n", sparse::random_square(6, 3, 12, /*withDiagonal=*/false), 6});
+  return cases;
+}
+
+/// The decomposition read back as a partition of the fine-grain hypergraph.
+hg::Partition as_finegrain(const model::FineGrainModel& m, const Decomposition& d) {
+  std::vector<idx_t> part(d.nnzOwner);
+  part.resize(static_cast<std::size_t>(m.h.num_vertices()));
+  for (std::size_t j = 0; j < m.diagVertex.size(); ++j)
+    if (m.diagVertex[j] >= m.numRealVertices)
+      part[static_cast<std::size_t>(m.diagVertex[j])] = d.xOwner[j];
+  return hg::Partition(m.h, d.numProcs, std::move(part));
+}
+
+TEST(GroupedModelsDegenerate, CutsizeOfTheFineGrainReadbackEqualsVolume) {
+  part::PartitionConfig cfg;
+  cfg.seed = 5;
+  for (const DegenerateCase& c : degenerate_cases()) {
+    const model::FineGrainModel m = model::build_finegrain(c.a);
+    const std::pair<const char*, model::ModelRun> runs[] = {
+        {"colnet", model::run_hypergraph1d(c.a, c.K, cfg, model::Line::kRow)},
+        {"rownet", model::run_hypergraph1d(c.a, c.K, cfg, model::Line::kCol)},
+        {"jagged", model::run_jagged_k(c.a, c.K, cfg)},
+        {"orthogonal", model::run_orthogonal_k(c.a, c.K, cfg)},
+        {"finegrain", model::run_finegrain(c.a, c.K, cfg)},
+    };
+    for (const auto& [name, run] : runs) {
+      SCOPED_TRACE(std::string(c.name) + " " + name);
+      const Decomposition& d = run.decomp;
+      ASSERT_EQ(d.numProcs, c.K);
+      EXPECT_NO_THROW(model::validate(c.a, d));
+      EXPECT_TRUE(model::symmetric_vectors(d));
+      const CommStats s = analyze(c.a, d);
+      EXPECT_EQ(s.totalWords,
+                hg::cutsize(m.h, as_finegrain(m, d), hg::CutMetric::kConnectivity));
+      const std::string model = name;
+      // The models that partition one hypergraph report its cutsize, which
+      // the grouping keeps: merged nets and dropped single-pin nets are
+      // never cut.
+      if (model != "jagged" && model != "orthogonal") {
+        EXPECT_EQ(run.objective, s.totalWords);
+      }
+      if (model == "colnet") {
+        EXPECT_EQ(s.foldWords, 0);
+        EXPECT_EQ(d.nnzOwner, model::decode_rowwise(c.a, d.xOwner, c.K).nnzOwner);
+      }
+      if (model == "rownet") {
+        EXPECT_EQ(s.expandWords, 0);
+      }
+    }
+  }
+}
+
+TEST(GroupedModelsDegenerate, GroupWeightsAreLineNonzeroCounts) {
+  for (const DegenerateCase& c : degenerate_cases()) {
+    SCOPED_TRACE(c.name);
+    const model::FineGrainModel m = model::build_finegrain(c.a);
+    const idx_t n = c.a.num_rows();
+    std::vector<weight_t> colCount(static_cast<std::size_t>(n), 0);
+    for (idx_t j : c.a.col_ind()) ++colCount[static_cast<std::size_t>(j)];
+    const hg::Hypergraph rows = hg::group(m.h, model::vertex_lines(c.a, m, model::Line::kRow), n);
+    const hg::Hypergraph cols = hg::group(m.h, model::vertex_lines(c.a, m, model::Line::kCol), n);
+    for (idx_t i = 0; i < n; ++i) {
+      // An empty line weighs 0, like the fine-grain dummy that stands in it.
+      EXPECT_EQ(rows.vertex_weight(i), c.a.row_size(i)) << "row " << i;
+      EXPECT_EQ(cols.vertex_weight(i), colCount[static_cast<std::size_t>(i)]) << "col " << i;
+    }
+  }
 }
 
 }  // namespace

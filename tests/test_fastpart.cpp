@@ -154,7 +154,7 @@ TEST_F(FastPartTest, ManualCancelIsHonoredMidSplit) {
                                               pts.total_vertex_weight() / 2};
   const std::array<weight_t, 2> cap = target;
   Rng rng(7);
-  EXPECT_THROW(part::geo::median_split(pts, target, cap, cfg, rng, {}), CancelledError);
+  EXPECT_THROW(part::geo::median_split(pts, target, cap, cfg, rng), CancelledError);
 }
 
 TEST_F(FastPartTest, ExpiredDeadlineThrowsMidSplitForTheEngineToCatch) {
@@ -167,7 +167,7 @@ TEST_F(FastPartTest, ExpiredDeadlineThrowsMidSplitForTheEngineToCatch) {
                                           pts.total_vertex_weight() -
                                               pts.total_vertex_weight() / 2};
   Rng rng(7);
-  EXPECT_THROW(part::geo::median_split(pts, target, target, cfg, rng, {}),
+  EXPECT_THROW(part::geo::median_split(pts, target, target, cfg, rng),
                DeadlineExceededError);
 }
 

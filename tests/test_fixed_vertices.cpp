@@ -10,7 +10,7 @@
 #include "hypergraph/builder.hpp"
 #include "hypergraph/metrics.hpp"
 #include "models/finegrain.hpp"
-#include "models/rownet.hpp"
+#include "models/hypergraph1d.hpp"
 #include "partition/hg/coarsen.hpp"
 #include "partition/hg/kway_refine.hpp"
 #include "partition/hg/partitioner.hpp"
@@ -273,12 +273,14 @@ TEST(RowNet, StructureMirrorsColnet) {
   coo.add(1, 1, 1);
   coo.add(2, 2, 1);
   const sparse::Csr a = to_csr(std::move(coo));
-  const Hypergraph h = model::build_rownet_hypergraph(a);
+  const model::FineGrainModel m = model::build_finegrain(a);
+  const Hypergraph h = hg::group(m.h, model::vertex_lines(a, m, model::Line::kCol), 3);
   EXPECT_EQ(h.num_vertices(), 3);  // columns
-  EXPECT_EQ(h.num_nets(), 3);      // rows
-  // Row 0 has columns {0, 2}.
-  std::set<idx_t> n0(h.pins(0).begin(), h.pins(0).end());
-  EXPECT_EQ(n0, (std::set<idx_t>{0, 2}));
+  // Rows 1 and 2 hold only their diagonal, so their nets have one pin and
+  // drop out; so do all column nets. Row 0 has columns {0, 2}.
+  ASSERT_EQ(h.num_nets(), 1);
+  EXPECT_EQ(std::vector<idx_t>(h.pins(0).begin(), h.pins(0).end()),
+            (std::vector<idx_t>{0, 2}));
   // Vertex weight = column nonzero count.
   EXPECT_EQ(h.vertex_weight(2), 2);
 }
@@ -286,7 +288,7 @@ TEST(RowNet, StructureMirrorsColnet) {
 TEST(RowNet, DecodeColwiseIsConformalAndFoldOnly) {
   const sparse::Csr a = sparse::random_square(150, 6, 41);
   part::PartitionConfig cfg;
-  const model::ModelRun run = model::run_rownet(a, 8, cfg);
+  const model::ModelRun run = model::run_hypergraph1d(a, 8, cfg, model::Line::kCol);
   EXPECT_TRUE(model::symmetric_vectors(run.decomp));
   const comm::CommStats s = comm::analyze(a, run.decomp);
   EXPECT_EQ(s.expandWords, 0);  // columnwise: x is local by construction
@@ -296,13 +298,17 @@ TEST(RowNet, DecodeColwiseIsConformalAndFoldOnly) {
 TEST(RowNet, CutsizeEqualsFoldVolume) {
   // The dual of the column-net volume theorem.
   const sparse::Csr a = sparse::random_square(120, 5, 43);
-  const Hypergraph h = model::build_rownet_hypergraph(a);
+  const model::FineGrainModel m = model::build_finegrain(a);
+  const std::vector<idx_t> cols = model::vertex_lines(a, m, model::Line::kCol);
+  const Hypergraph h = hg::group(m.h, cols, a.num_cols());
   Rng rng(45);
   const idx_t K = 6;
   std::vector<idx_t> colPart(static_cast<std::size_t>(a.num_cols()));
   for (auto& p : colPart) p = rng.uniform(0, K - 1);
   const Partition p(h, K, colPart);
-  const model::Decomposition d = model::decode_colwise(a, colPart, K);
+  const model::Decomposition d =
+      model::decode_finegrain(a, m, Partition(m.h, K, hg::lift(cols, p)));
+  EXPECT_EQ(d.xOwner, colPart);
   EXPECT_EQ(comm::analyze(a, d).foldWords,
             hg::cutsize(h, p, hg::CutMetric::kConnectivity));
 }

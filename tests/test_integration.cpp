@@ -58,7 +58,7 @@ TEST_P(Pipeline, AllModelsEndToEnd) {
   };
 
   check(model::run_graph_model(a, tc.K, cfg), "graph-1d");
-  check(model::run_hypergraph1d(a, tc.K, cfg), "hypergraph-1d");
+  check(model::run_hypergraph1d(a, tc.K, cfg, model::Line::kRow), "hypergraph-1d");
   check(model::run_finegrain(a, tc.K, cfg), "finegrain-2d");
 }
 
@@ -85,7 +85,7 @@ TEST(HeadlineClaims, FineGrainBeats1DModelsOnAverage) {
     graphTotal += static_cast<double>(
         comm::analyze(a, model::run_graph_model(a, K, cfg).decomp).totalWords);
     hg1dTotal += static_cast<double>(
-        comm::analyze(a, model::run_hypergraph1d(a, K, cfg).decomp).totalWords);
+        comm::analyze(a, model::run_hypergraph1d(a, K, cfg, model::Line::kRow).decomp).totalWords);
     fgTotal += static_cast<double>(
         comm::analyze(a, model::run_finegrain(a, K, cfg).decomp).totalWords);
   }

@@ -154,5 +154,16 @@ TEST(JsonParse, RejectsBadUnicodeEscapesAndPartialNumbers) {
   }
 }
 
+TEST(JsonParse, RejectsRawControlBytesInStrings) {
+  // JSON admits a control character in a string only as an escape; the
+  // writer always escapes them, so a raw one means a corrupt file.
+  for (int c = 0; c < 0x20; ++c) {
+    const std::string bad = std::string("{\"s\": \"a") + static_cast<char>(c) + "b\"}";
+    EXPECT_THROW(json::parse(bad), FormatError) << "byte " << c;
+  }
+  EXPECT_EQ(json::parse(R"({"s": "a\nb\u001f"})").at("s").str, "a\nb\x1f");
+  EXPECT_EQ(json::parse("{\"s\": \"a\x7f b\"}").at("s").str, "a\x7f b");
+}
+
 }  // namespace
 }  // namespace fghp

@@ -124,15 +124,16 @@ TEST(GraphModel, EndToEndBalanced) {
 
 TEST(Hypergraph1d, ColumnNetStructure) {
   const sparse::Csr a = paper_figure_matrix();
-  const hg::Hypergraph h = build_colnet_hypergraph(a);
+  const FineGrainModel m = build_finegrain(a);
+  const hg::Hypergraph h = hg::group(m.h, vertex_lines(a, m, Line::kRow), 4);
   EXPECT_EQ(h.num_vertices(), 4);
-  EXPECT_EQ(h.num_nets(), 4);
+  // Column 1 holds only a_11, so its net has one pin and drops out, as do
+  // all row nets: the nets of columns 0, 2 and 3 remain, in that order.
+  EXPECT_EQ(h.num_nets(), 3);
   hg::validate_or_throw(h);
   // Column 3 has nonzeros in rows 0, 1, 3 -> net {0,1,3}.
-  std::set<idx_t> n3(h.pins(3).begin(), h.pins(3).end());
-  EXPECT_EQ(n3, (std::set<idx_t>{0, 1, 3}));
-  // Column 1: only row 1 -> net {1} (consistency pin already there).
-  EXPECT_EQ(h.net_size(1), 1);
+  EXPECT_EQ(std::vector<idx_t>(h.pins(2).begin(), h.pins(2).end()),
+            (std::vector<idx_t>{0, 1, 3}));
   // Vertex weights = row nonzero counts.
   EXPECT_EQ(h.vertex_weight(1), 4);
 }
@@ -142,17 +143,20 @@ TEST(Hypergraph1d, ConsistencyPinAddedWhenDiagonalMissing) {
   coo.add(0, 1, 1);  // column 1 has row 0 only; a_11 missing
   coo.add(1, 0, 1);
   coo.add(2, 2, 1);
-  const hg::Hypergraph h = build_colnet_hypergraph(to_csr(std::move(coo)));
-  // Net for column 1 must contain row 1 as consistency pin.
-  std::set<idx_t> n1(h.pins(1).begin(), h.pins(1).end());
-  EXPECT_TRUE(n1.count(1) == 1);
-  EXPECT_EQ(n1, (std::set<idx_t>{0, 1}));
+  const sparse::Csr a = to_csr(std::move(coo));
+  const FineGrainModel m = build_finegrain(a);
+  const hg::Hypergraph h = hg::group(m.h, vertex_lines(a, m, Line::kRow), 3);
+  // Net for column 1 must contain row 1 as consistency pin, after the rows
+  // that store an entry of the column.
+  ASSERT_EQ(h.num_nets(), 2);
+  EXPECT_EQ(std::vector<idx_t>(h.pins(1).begin(), h.pins(1).end()),
+            (std::vector<idx_t>{0, 1}));
 }
 
 TEST(Hypergraph1d, EndToEndBalancedAndConformal) {
   const sparse::Csr a = sparse::random_square(200, 6, 4);
   part::PartitionConfig cfg;
-  const ModelRun run = run_hypergraph1d(a, 4, cfg);
+  const ModelRun run = run_hypergraph1d(a, 4, cfg, Line::kRow);
   EXPECT_TRUE(symmetric_vectors(run.decomp));
   EXPECT_LT(compute_loads(a, run.decomp).percentImbalance, 10.0);
 }

@@ -25,12 +25,14 @@
 #include "models/finegrain.hpp"
 #include "models/graph_model.hpp"
 #include "models/hypergraph1d.hpp"
-#include "models/rownet.hpp"
+#include "models/jagged.hpp"
+#include "models/orthogonal.hpp"
 #include "partition/gp/gpartitioner.hpp"
 #include "partition/gp/grecursive.hpp"
 #include "partition/hg/partitioner.hpp"
 #include "partition/hg/recursive.hpp"
 #include "sparse/generators.hpp"
+#include "sparse/testsuite.hpp"
 #include "util/assert.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
@@ -155,12 +157,15 @@ TEST_P(RbGoldenSweep, PinnedAtEveryThreadCount) {
 INSTANTIATE_TEST_SUITE_P(Threads, RbGoldenSweep, ::testing::Values(1, 2, 8));
 
 // Whole decompositions of the other model pipelines that share the
-// partitioner code: the column-net and row-net 1D hypergraph models and the
-// two geometric fast paths of the fine-grain model. The hash covers the
-// nonzero, x and y owners in that order; `cut` is the run's objective.
+// partitioner code: the column-net and row-net 1D hypergraph models, the
+// jagged and orthogonal 2D models built on them, and the two geometric fast
+// paths of the fine-grain model. The hash covers the nonzero, x and y owners
+// in that order; `cut` is the run's objective. The cq9 analog has missing
+// diagonals but no empty row or column, so its rows pin where the
+// consistency pin sits in each net.
 struct ModelCase {
-  const char* model;   // "colnet", "rownet", "geometric", "geometric-fm"
-  const char* matrix;  // "mesh", "irregular"
+  const char* model;   // "colnet", "rownet", "jagged", "orthogonal", "geometric", "geometric-fm"
+  const char* matrix;  // "mesh", "irregular", "cq9"
   idx_t K;
   Sig expected;  // at every thread count
 };
@@ -182,18 +187,43 @@ const ModelCase kModelGolden[] = {
     {"geometric-fm", "mesh", 8, {0x15e11cefe9322e83ULL, 280}},
     {"geometric-fm", "irregular", 4, {0x01967889ff3fda42ULL, 434}},
     {"geometric-fm", "irregular", 8, {0xe0aff392dafbee84ULL, 681}},
+    {"jagged", "mesh", 4, {0x09766185e7684502ULL, 0}},
+    {"jagged", "mesh", 8, {0x95d6d1f928151423ULL, 0}},
+    {"jagged", "irregular", 4, {0x57bd4d26952c12c2ULL, 0}},
+    {"jagged", "irregular", 8, {0x4d21e1be7795d0c1ULL, 0}},
+    {"orthogonal", "mesh", 4, {0x127b06c509708be3ULL, 0}},
+    {"orthogonal", "mesh", 8, {0x5415d4283f19d643ULL, 0}},
+    {"orthogonal", "irregular", 4, {0x8943caa56510f183ULL, 0}},
+    {"orthogonal", "irregular", 8, {0x298a45da9051d2a1ULL, 0}},
+    {"colnet", "cq9", 4, {0xbd62c160f7c55201ULL, 926}},
+    {"colnet", "cq9", 8, {0xa7119796bf5bd166ULL, 1848}},
+    {"rownet", "cq9", 4, {0x928d25473bd3b2a1ULL, 1007}},
+    {"rownet", "cq9", 8, {0x9f94e6fd6ee22702ULL, 2127}},
+    {"jagged", "cq9", 4, {0x73643d460ba494a2ULL, 0}},
+    {"jagged", "cq9", 8, {0x8f4b40c386d7ec62ULL, 0}},
+    {"orthogonal", "cq9", 4, {0x4010f056c80fc762ULL, 0}},
+    {"orthogonal", "cq9", 8, {0xf53357b26980c0a1ULL, 0}},
 };
 
+sparse::Csr model_matrix(const std::string& name) {
+  if (name == "mesh") return mesh_matrix();
+  if (name == "irregular") return irregular_matrix();
+  return sparse::make_matrix(name, 1, 0.1);  // suite analog at scale 0.1
+}
+
 Sig run_model_case(const ModelCase& c, idx_t threads) {
-  const sparse::Csr a =
-      std::string(c.matrix) == "mesh" ? mesh_matrix() : irregular_matrix();
+  const sparse::Csr a = model_matrix(c.matrix);
   part::PartitionConfig cfg = golden_config(threads);
   const std::string model = c.model;
   model::ModelRun r;
   if (model == "colnet") {
-    r = model::run_hypergraph1d(a, c.K, cfg);
+    r = model::run_hypergraph1d(a, c.K, cfg, model::Line::kRow);
   } else if (model == "rownet") {
-    r = model::run_rownet(a, c.K, cfg);
+    r = model::run_hypergraph1d(a, c.K, cfg, model::Line::kCol);
+  } else if (model == "jagged") {
+    r = model::run_jagged_k(a, c.K, cfg);
+  } else if (model == "orthogonal") {
+    r = model::run_orthogonal_k(a, c.K, cfg);
   } else {
     FGHP_REQUIRE(part::parse_method(model, cfg.method), "unknown golden model");
     r = model::run_finegrain(a, c.K, cfg);

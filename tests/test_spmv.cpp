@@ -169,7 +169,7 @@ TEST_P(ExecutorModels, RowwiseMatchesReference) {
   const idx_t K = GetParam();
   const sparse::Csr a = sparse::random_square(120, 6, 22);
   part::PartitionConfig cfg;
-  const model::ModelRun run = model::run_hypergraph1d(a, K, cfg);
+  const model::ModelRun run = model::run_hypergraph1d(a, K, cfg, model::Line::kRow);
   const SpmvPlan plan = build_plan(a, run.decomp);
   const auto x = random_x(a.num_cols(), 78);
   expect_near_vec(execute(plan, x), multiply(a, x));
